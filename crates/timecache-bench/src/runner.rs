@@ -3,8 +3,8 @@
 //! security modes.
 
 use timecache_core::TimeCacheConfig;
-use timecache_os::{System, SystemConfig, Trace};
-use timecache_sim::{AccessOutcome, Hierarchy, HierarchyConfig, HierarchyStats, SecurityMode};
+use timecache_os::{System, SystemConfig};
+use timecache_sim::{HierarchyConfig, HierarchyStats, SecurityMode};
 use timecache_workloads::mixes::PairSpec;
 use timecache_workloads::parsec::ParsecBenchmark;
 
@@ -230,21 +230,6 @@ pub fn compare_parsec(bench: ParsecBenchmark, params: &RunParams) -> Comparison 
         baseline: run_parsec_mode(bench, SecurityMode::Baseline, params),
         timecache: run_parsec_mode(bench, timecache_mode(params), params),
     }
-}
-
-/// Replays a recorded instruction trace straight into a bare [`Hierarchy`]
-/// (no scheduler) as hardware context `(core, thread)`, starting the clock
-/// at `start`. The measurement-side entry point to the batched replay fast
-/// path ([`Trace::replay_hierarchy`] → `Hierarchy::access_batch`); returns
-/// the per-access outcomes and the final cycle.
-pub fn replay_trace(
-    hier: &mut Hierarchy,
-    trace: &Trace,
-    core: usize,
-    thread: usize,
-    start: u64,
-) -> (Vec<AccessOutcome>, u64) {
-    trace.replay_hierarchy(hier, core, thread, start)
 }
 
 #[cfg(test)]

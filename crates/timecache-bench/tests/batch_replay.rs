@@ -1,23 +1,28 @@
-//! The batched replay fast path's contract: pushing a recorded trace
-//! through `Hierarchy::access_batch` (via `runner::replay_trace`) yields
-//! exactly the per-access loop's observables — the `AccessOutcome`
-//! sequence, the final clock, the hierarchy statistics, and the merged
-//! telemetry counters — whether the replay runs on the caller's thread
-//! (`--jobs 1`) or across sweep workers (`--jobs 4`).
+//! The batched access path's contract: pushing runs of accesses through
+//! `Hierarchy::access_batch` with the serial clock rule
+//! (`BatchClock::LatencyPlus(0)`), split at each `clflush`, yields exactly
+//! the per-access loop's observables — the `AccessOutcome` sequence, the
+//! final clock, the hierarchy statistics, and the merged telemetry
+//! counters — whether the replay runs on the caller's thread (`--jobs 1`)
+//! or across sweep workers (`--jobs 4`).
 
-use timecache_bench::runner::replay_trace;
 use timecache_bench::{sweep, telemetry};
 use timecache_core::TimeCacheConfig;
-use timecache_os::{DataKind, Op, Trace};
 use timecache_sim::{
-    AccessKind, AccessOutcome, Hierarchy, HierarchyConfig, HierarchyStats, SecurityMode,
+    AccessKind, AccessOutcome, BatchClock, Hierarchy, HierarchyConfig, HierarchyStats, SecurityMode,
 };
 
-/// A deterministic ~600-op trace mixing tight loops (L1 hits), a working
-/// set beyond the L1 (LLC hits), a streaming region (DRAM misses), and
-/// periodic flushes, so the replay exercises every latency class.
-fn mixed_trace() -> Trace {
-    let mut t = Trace::new();
+/// An uninterrupted run of accesses, then an optional `clflush` target.
+type Segment = (Vec<(AccessKind, u64)>, Option<u64>);
+
+/// A deterministic ~600-access stream mixing tight loops (L1 hits), a
+/// working set beyond the L1 (LLC hits), a streaming region (DRAM misses),
+/// and periodic flushes, so the replay exercises every latency class.
+/// Each instruction is a fetch at its pc plus a load or store; a flush is
+/// a fetch at its pc followed by the `clflush`, which ends the run.
+fn mixed_segments() -> Vec<Segment> {
+    let mut segments = Vec::new();
+    let mut run = Vec::new();
     let mut rng = 0x9e37_79b9_u64;
     let mut step = || {
         rng ^= rng << 13;
@@ -35,26 +40,23 @@ fn mixed_trace() -> Trace {
             _ => 0x4000 + (r % 64) * 64,     // warm set
         };
         let kind = if r % 3 == 0 {
-            DataKind::Store
+            AccessKind::Store
         } else {
-            DataKind::Load
+            AccessKind::Load
         };
-        t.push(Op::Instr {
-            pc,
-            data: Some((kind, addr)),
-        });
+        run.push((AccessKind::IFetch, pc));
+        run.push((kind, addr));
         if i % 37 == 36 {
-            t.push(Op::Flush {
-                pc: pc + 4,
-                target: 0x4000 + (r % 8) * 64,
-            });
+            run.push((AccessKind::IFetch, pc + 4));
+            segments.push((std::mem::take(&mut run), Some(0x4000 + (r % 8) * 64)));
         }
         if i % 51 == 50 {
-            t.push(Op::Yield { pc: pc + 4 });
+            // A yield: only its instruction fetch touches the hierarchy.
+            run.push((AccessKind::IFetch, pc + 4));
         }
     }
-    t.push(Op::Done);
-    t
+    segments.push((run, None));
+    segments
 }
 
 fn hierarchy() -> Hierarchy {
@@ -63,52 +65,46 @@ fn hierarchy() -> Hierarchy {
     Hierarchy::new(cfg).expect("valid config")
 }
 
-/// The per-access reference: the same op stream through
-/// `Hierarchy::access` one call at a time, with the batched replay's
-/// serial clock rule (`now += latency`; clflush adds its own latency).
-fn replay_per_access(trace: &Trace) -> (Vec<AccessOutcome>, u64, HierarchyStats) {
+/// The per-access reference: the same stream through `Hierarchy::access`
+/// one call at a time with the serial clock rule (`now += latency`;
+/// clflush adds its own latency). Instrumented only while telemetry is
+/// enabled.
+fn replay_per_access(segments: &[Segment]) -> (Vec<AccessOutcome>, u64, HierarchyStats) {
     let mut h = hierarchy();
+    h.attach_telemetry(&telemetry::current());
     let mut now = 1u64;
     let mut outs = Vec::new();
-    let one = |h: &mut Hierarchy, now: &mut u64, kind, addr| {
-        let o = h.access(0, 0, kind, addr, *now);
-        *now += o.latency;
-        o
-    };
-    for op in trace.ops() {
-        match *op {
-            Op::Instr { pc, data } => {
-                outs.push(one(&mut h, &mut now, AccessKind::IFetch, pc));
-                if let Some((kind, addr)) = data {
-                    let kind = match kind {
-                        DataKind::Load => AccessKind::Load,
-                        DataKind::Store => AccessKind::Store,
-                    };
-                    outs.push(one(&mut h, &mut now, kind, addr));
-                }
-            }
-            Op::Flush { pc, target } => {
-                outs.push(one(&mut h, &mut now, AccessKind::IFetch, pc));
-                now += h.clflush(target);
-            }
-            Op::Yield { pc } => {
-                outs.push(one(&mut h, &mut now, AccessKind::IFetch, pc));
-            }
-            Op::Done => break,
+    for (run, flush) in segments {
+        for &(kind, addr) in run {
+            let o = h.access(0, 0, kind, addr, now);
+            now += o.latency;
+            outs.push(o);
+        }
+        if let Some(target) = *flush {
+            now += h.clflush(target);
         }
     }
     let stats = h.stats();
     (outs, now, stats)
 }
 
-/// One batched replay with an instrumented hierarchy; returns observables
-/// plus the worker-local telemetry's view of the access counters.
-fn replay_batched(trace: &Trace) -> (Vec<AccessOutcome>, u64, HierarchyStats) {
+/// One batched replay with an instrumented hierarchy: each run is one
+/// `access_batch` call.
+fn replay_batched(segments: &[Segment]) -> (Vec<AccessOutcome>, u64, HierarchyStats) {
     let mut h = hierarchy();
     h.attach_telemetry(&telemetry::current());
-    let (outs, end) = replay_trace(&mut h, trace, 0, 0, 1);
+    let mut now = 1u64;
+    let mut outs = Vec::new();
+    for (run, flush) in segments {
+        let (batch, end) = h.access_batch(0, 0, run, now, BatchClock::LatencyPlus(0));
+        outs.extend(batch);
+        now = end;
+        if let Some(target) = *flush {
+            now += h.clflush(target);
+        }
+    }
     let stats = h.stats();
-    (outs, end, stats)
+    (outs, now, stats)
 }
 
 fn access_counter(tel: &timecache_telemetry::Telemetry, cache: &str, outcome: &str) -> u64 {
@@ -123,47 +119,26 @@ fn access_counter(tel: &timecache_telemetry::Telemetry, cache: &str, outcome: &s
 
 #[test]
 fn batched_replay_matches_per_access_loop_serial_and_parallel() {
-    let trace = mixed_trace();
-    let (ref_outs, ref_end, ref_stats) = replay_per_access(&trace);
-    assert!(ref_outs.len() > 200, "trace too small to be interesting");
+    let segments = mixed_segments();
+    assert!(
+        segments.iter().filter(|(_, flush)| flush.is_some()).count() > 1,
+        "stream never splits at a clflush"
+    );
+
+    let (ref_outs, ref_end, ref_stats) = replay_per_access(&segments);
+    assert!(ref_outs.len() > 200, "stream too small to be interesting");
 
     // An instrumented per-access run gives the reference telemetry totals.
     let ref_tel = telemetry::enable();
-    {
-        let mut h = hierarchy();
-        h.attach_telemetry(&telemetry::current());
-        let mut now = 1u64;
-        for op in trace.ops() {
-            match *op {
-                Op::Instr { pc, data } => {
-                    now += h.access(0, 0, AccessKind::IFetch, pc, now).latency;
-                    if let Some((kind, addr)) = data {
-                        let kind = match kind {
-                            DataKind::Load => AccessKind::Load,
-                            DataKind::Store => AccessKind::Store,
-                        };
-                        now += h.access(0, 0, kind, addr, now).latency;
-                    }
-                }
-                Op::Flush { pc, target } => {
-                    now += h.access(0, 0, AccessKind::IFetch, pc, now).latency;
-                    now += h.clflush(target);
-                }
-                Op::Yield { pc } => {
-                    now += h.access(0, 0, AccessKind::IFetch, pc, now).latency;
-                }
-                Op::Done => break,
-            }
-        }
-    }
+    replay_per_access(&segments);
     telemetry::disable();
 
     for jobs in [1usize, 4] {
-        // Four independent replays of the same trace fanned across the
+        // Four independent replays of the same stream fanned across the
         // sweep engine; each worker records into its own telemetry handle,
         // merged into `tel` at join.
         let tel = telemetry::enable();
-        let runs = sweep::run_with_jobs(4, jobs, |_| replay_batched(&trace));
+        let runs = sweep::run_with_jobs(4, jobs, |_| replay_batched(&segments));
         telemetry::disable();
 
         for (outs, end, stats) in &runs {
@@ -193,7 +168,7 @@ fn batched_replay_matches_per_access_loop_serial_and_parallel() {
         }
         assert!(
             access_counter(&ref_tel, "l1d", "miss") > 0,
-            "trace never missed the L1D; counters are vacuous"
+            "stream never missed the L1D; counters are vacuous"
         );
     }
 }

@@ -3,34 +3,10 @@
 //! visible under the full s-bit map — pointer overflow only ever revokes
 //! visibility (extra misses), never grants it (stale hits).
 //!
-//! Deterministic seed-driven randomization (no third-party crates; see
-//! DESIGN.md §6).
+//! Deterministic seed-driven randomization from the crate's own
+//! [`FastRng`] (no third-party crates; see DESIGN.md §6).
 
-use timecache_core::{LimitedPointers, SBitArray};
-
-/// Minimal xorshift64* PRNG (duplicated from `timecache_workloads::rng`
-/// because `timecache-core` sits below the workload crate).
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        Rng((z ^ (z >> 31)) | 1)
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn below(&mut self, bound: u64) -> u64 {
-        ((self.next_u64() as u128 * bound as u128) >> 64) as u64
-    }
-}
+use timecache_core::{FastRng, LimitedPointers, SBitArray};
 
 #[derive(Debug, Clone)]
 enum Ev {
@@ -40,10 +16,10 @@ enum Ev {
     ResetCtx { ctx: usize },
 }
 
-fn random_event(rng: &mut Rng, lines: usize, ctxs: usize) -> Ev {
-    let line = rng.below(lines as u64) as usize;
-    let ctx = rng.below(ctxs as u64) as usize;
-    match rng.below(4) {
+fn random_event(rng: &mut FastRng, lines: usize, ctxs: usize) -> Ev {
+    let line = rng.next_below(lines as u64) as usize;
+    let ctx = rng.next_below(ctxs as u64) as usize;
+    match rng.next_below(4) {
         0 => Ev::Fill { line, ctx },
         1 => Ev::FirstAccess { line, ctx },
         2 => Ev::Evict { line },
@@ -85,9 +61,9 @@ fn limited_is_never_more_permissive() {
     const LINES: usize = 16;
     const CTXS: usize = 6;
     for seed in 0..48u64 {
-        let mut rng = Rng::new(seed);
-        let k = (rng.below(3) + 1) as usize;
-        let nevents = rng.below(300) as usize;
+        let mut rng = FastRng::seed_from_u64(seed);
+        let k = (rng.next_below(3) + 1) as usize;
+        let nevents = rng.next_below(300) as usize;
         let mut limited = LimitedPointers::new(LINES, CTXS, k);
         let mut full: Vec<SBitArray> = (0..CTXS).map(|_| SBitArray::new(LINES)).collect();
 
@@ -117,8 +93,8 @@ fn full_k_is_exact() {
     const LINES: usize = 12;
     const CTXS: usize = 3;
     for seed in 0..48u64 {
-        let mut rng = Rng::new(0x100 + seed);
-        let nevents = rng.below(200) as usize;
+        let mut rng = FastRng::seed_from_u64(0x100 + seed);
+        let nevents = rng.next_below(200) as usize;
         let mut limited = LimitedPointers::new(LINES, CTXS, CTXS);
         let mut full: Vec<SBitArray> = (0..CTXS).map(|_| SBitArray::new(LINES)).collect();
 
@@ -138,12 +114,12 @@ fn full_k_is_exact() {
 #[test]
 fn extract_load_roundtrip() {
     for seed in 0..32u64 {
-        let mut rng = Rng::new(0x200 + seed);
+        let mut rng = FastRng::seed_from_u64(0x200 + seed);
         let mut a = LimitedPointers::new(16, 4, 2);
-        let ngrants = rng.below(64) as usize;
+        let ngrants = rng.next_below(64) as usize;
         for _ in 0..ngrants {
-            let line = rng.below(16) as usize;
-            let ctx = rng.below(4) as usize;
+            let line = rng.next_below(16) as usize;
+            let ctx = rng.next_below(4) as usize;
             a.grant(line, ctx);
         }
         for ctx in 0..4 {

@@ -8,46 +8,22 @@
 //! most recent fill*.
 //!
 //! The workspace builds offline with no third-party crates (DESIGN.md §6),
-//! so instead of `proptest` these drive the same invariants from an
-//! in-file xorshift64* generator over a fixed set of seeds.
+//! so instead of `proptest` these drive the same invariants from the
+//! crate's own [`FastRng`] over a fixed set of seeds.
 
 use timecache_core::{
-    BitSerialComparator, SBitArray, TimeCacheConfig, TimeCacheState, TimestampWidth,
+    BitSerialComparator, FastRng, SBitArray, TimeCacheConfig, TimeCacheState, TimestampWidth,
     TransposeArray, Visibility, WrappingTime,
 };
-
-/// Minimal xorshift64* PRNG (same algorithm as `timecache_workloads::rng`,
-/// duplicated here because `timecache-core` sits below the workload crate).
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        Rng((z ^ (z >> 31)) | 1)
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn below(&mut self, bound: u64) -> u64 {
-        ((self.next_u64() as u128 * bound as u128) >> 64) as u64
-    }
-}
 
 /// The bit-serial circuit computes exactly `tc > ts` for every line.
 #[test]
 fn comparator_matches_functional_compare() {
     for seed in 0..32u64 {
-        let mut rng = Rng::new(seed);
-        let width = (rng.below(64) + 1) as u8;
+        let mut rng = FastRng::seed_from_u64(seed);
+        let width = (rng.next_below(64) + 1) as u8;
         let w = TimestampWidth::new(width);
-        let len = (rng.below(299) + 1) as usize;
+        let len = (rng.next_below(299) + 1) as usize;
         let tcs: Vec<u64> = (0..len).map(|_| rng.next_u64()).collect();
         let mut arr = TransposeArray::new(len, w);
         for (i, &v) in tcs.iter().enumerate() {
@@ -69,8 +45,8 @@ fn comparator_matches_functional_compare() {
 #[test]
 fn comparator_mask_has_no_phantom_bits() {
     for seed in 0..32u64 {
-        let mut rng = Rng::new(0x100 + seed);
-        let len = (rng.below(199) + 1) as usize;
+        let mut rng = FastRng::seed_from_u64(0x100 + seed);
+        let len = (rng.next_below(199) + 1) as usize;
         let ts_raw = rng.next_u64();
         let w = TimestampWidth::new(16);
         let mut arr = TransposeArray::new(len, w);
@@ -91,10 +67,10 @@ fn comparator_mask_has_no_phantom_bits() {
 #[test]
 fn transpose_roundtrip() {
     for seed in 0..32u64 {
-        let mut rng = Rng::new(0x200 + seed);
-        let width = (rng.below(64) + 1) as u8;
+        let mut rng = FastRng::seed_from_u64(0x200 + seed);
+        let width = (rng.next_below(64) + 1) as u8;
         let w = TimestampWidth::new(width);
-        let len = (rng.below(199) + 1) as usize;
+        let len = (rng.next_below(199) + 1) as usize;
         let values: Vec<u64> = (0..len).map(|_| rng.next_u64()).collect();
         let mut arr = TransposeArray::new(len, w);
         for (i, &v) in values.iter().enumerate() {
@@ -111,14 +87,14 @@ fn transpose_roundtrip() {
 #[test]
 fn sbits_match_reference_model() {
     for seed in 0..32u64 {
-        let mut rng = Rng::new(0x300 + seed);
-        let len = (rng.below(199) + 1) as usize;
+        let mut rng = FastRng::seed_from_u64(0x300 + seed);
+        let len = (rng.next_below(199) + 1) as usize;
         let mut s = SBitArray::new(len);
         let mut model = vec![false; len];
-        let nops = rng.below(100) as usize;
+        let nops = rng.next_below(100) as usize;
         for _ in 0..nops {
-            let op = rng.below(4) as u8;
-            let idx = rng.below(len as u64) as usize;
+            let op = rng.next_below(4) as u8;
+            let idx = rng.next_below(len as u64) as usize;
             let maskseed = rng.next_u64();
             match op {
                 0 => {
@@ -167,11 +143,11 @@ enum Ev {
     SwitchIn { ctx: usize, slot: usize },
 }
 
-fn random_event(rng: &mut Rng, lines: usize, ctxs: usize, slots: usize) -> Ev {
-    let line = rng.below(lines as u64) as usize;
-    let ctx = rng.below(ctxs as u64) as usize;
-    let slot = rng.below(slots as u64) as usize;
-    match rng.below(5) {
+fn random_event(rng: &mut FastRng, lines: usize, ctxs: usize, slots: usize) -> Ev {
+    let line = rng.next_below(lines as u64) as usize;
+    let ctx = rng.next_below(ctxs as u64) as usize;
+    let slot = rng.next_below(slots as u64) as usize;
+    match rng.next_below(5) {
         0 => Ev::Fill { line, ctx },
         1 => Ev::Evict { line },
         2 => Ev::Access { line, ctx },
@@ -185,8 +161,8 @@ fn state_machine_never_leaks_residency() {
     const LINES: usize = 24;
     const CTXS: usize = 2;
     for seed in 0..64u64 {
-        let mut rng = Rng::new(0x400 + seed);
-        let nevents = rng.below(200) as usize;
+        let mut rng = FastRng::seed_from_u64(0x400 + seed);
+        let nevents = rng.next_below(200) as usize;
         // Wide counter: no rollover in this trace, so the hardware should
         // *exactly* match the oracle (with narrow counters the hardware is
         // allowed extra misses but never extra hits; covered below).
@@ -283,9 +259,9 @@ fn state_machine_never_leaks_residency() {
 fn narrow_counters_only_err_towards_misses() {
     const LINES: usize = 16;
     for seed in 0..48u64 {
-        let mut rng = Rng::new(0x500 + seed);
-        let nevents = rng.below(150) as usize;
-        let step = rng.below(39) + 1; // large steps force 6-bit rollover
+        let mut rng = FastRng::seed_from_u64(0x500 + seed);
+        let nevents = rng.next_below(150) as usize;
+        let step = rng.next_below(39) + 1; // large steps force 6-bit rollover
         let mut hw = TimeCacheState::new(LINES, 1, TimeCacheConfig::new(6));
         let mut paid = [false; LINES];
         let mut hw_snaps: Vec<Option<timecache_core::Snapshot>> = vec![None; 2];

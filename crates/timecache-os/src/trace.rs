@@ -15,7 +15,6 @@ use crate::program::{DataKind, Observation, Op, Program};
 use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::rc::Rc;
-use timecache_sim::{AccessKind, AccessOutcome, BatchClock, Hierarchy};
 
 /// A recorded instruction trace.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -159,67 +158,6 @@ impl Trace {
             ops.push(op);
         }
         Ok(Trace { ops })
-    }
-
-    /// Replays the trace's memory operations directly against a
-    /// [`Hierarchy`] as hardware context `(core, thread)`, without the
-    /// scheduler: each `Instr` is an instruction fetch at its pc plus the
-    /// optional data access, `Flush` executes a `clflush`, `Yield` is a
-    /// no-op (there is no scheduler to yield to), and `Done` stops the
-    /// replay. The clock starts at `start` and advances serially — each
-    /// operation issues when the previous one completes.
-    ///
-    /// Consecutive instruction runs are submitted through
-    /// [`Hierarchy::access_batch`], which is what makes this the fast path
-    /// for trace-driven measurement. Returns the access outcomes in
-    /// program order and the final clock value.
-    pub fn replay_hierarchy(
-        &self,
-        hier: &mut Hierarchy,
-        core: usize,
-        thread: usize,
-        start: u64,
-    ) -> (Vec<AccessOutcome>, u64) {
-        let mut outcomes = Vec::new();
-        let mut now = start;
-        // Reused buffer of the current uninterrupted access run.
-        let mut batch: Vec<(AccessKind, u64)> = Vec::new();
-        let flush_batch =
-            |hier: &mut Hierarchy, batch: &mut Vec<(AccessKind, u64)>, now: &mut u64| {
-                if batch.is_empty() {
-                    return Vec::new();
-                }
-                let (outs, end) =
-                    hier.access_batch(core, thread, batch, *now, BatchClock::LatencyPlus(0));
-                *now = end;
-                batch.clear();
-                outs
-            };
-        for op in &self.ops {
-            match *op {
-                Op::Instr { pc, data } => {
-                    batch.push((AccessKind::IFetch, pc));
-                    if let Some((kind, addr)) = data {
-                        let kind = match kind {
-                            DataKind::Load => AccessKind::Load,
-                            DataKind::Store => AccessKind::Store,
-                        };
-                        batch.push((kind, addr));
-                    }
-                }
-                Op::Flush { pc, target } => {
-                    batch.push((AccessKind::IFetch, pc));
-                    outcomes.extend(flush_batch(hier, &mut batch, &mut now));
-                    now += hier.clflush(target);
-                }
-                Op::Yield { pc } => {
-                    batch.push((AccessKind::IFetch, pc));
-                }
-                Op::Done => break,
-            }
-        }
-        outcomes.extend(flush_batch(hier, &mut batch, &mut now));
-        (outcomes, now)
     }
 }
 
@@ -411,45 +349,6 @@ mod tests {
         assert_eq!(p.next_op(), Op::Done);
         assert_eq!(p.next_op(), Op::Done);
         assert_eq!(p.name(), "empty");
-    }
-
-    #[test]
-    fn replay_hierarchy_matches_per_access_loop() {
-        use timecache_sim::HierarchyConfig;
-
-        let trace = Trace::from_text(
-            "I 10\nL 20 4000\nS 24 4040\nI 28\nF 2c 4000\nY 30\nL 34 8000\nD\nI ff\n",
-        )
-        .unwrap();
-
-        let mut batched = Hierarchy::new(HierarchyConfig::default()).unwrap();
-        let (outs, end) = trace.replay_hierarchy(&mut batched, 0, 0, 1);
-
-        // Reference: the same op stream through Hierarchy::access one at a
-        // time with the same serial clock rule.
-        let mut reference = Hierarchy::new(HierarchyConfig::default()).unwrap();
-        let mut now = 1;
-        let mut expect = Vec::new();
-        let one = |h: &mut Hierarchy, now: &mut u64, kind, addr| {
-            let o = h.access(0, 0, kind, addr, *now);
-            *now += o.latency;
-            o
-        };
-        expect.push(one(&mut reference, &mut now, AccessKind::IFetch, 0x10));
-        expect.push(one(&mut reference, &mut now, AccessKind::IFetch, 0x20));
-        expect.push(one(&mut reference, &mut now, AccessKind::Load, 0x4000));
-        expect.push(one(&mut reference, &mut now, AccessKind::IFetch, 0x24));
-        expect.push(one(&mut reference, &mut now, AccessKind::Store, 0x4040));
-        expect.push(one(&mut reference, &mut now, AccessKind::IFetch, 0x28));
-        expect.push(one(&mut reference, &mut now, AccessKind::IFetch, 0x2c));
-        now += reference.clflush(0x4000);
-        expect.push(one(&mut reference, &mut now, AccessKind::IFetch, 0x30));
-        expect.push(one(&mut reference, &mut now, AccessKind::IFetch, 0x34));
-        expect.push(one(&mut reference, &mut now, AccessKind::Load, 0x8000));
-
-        assert_eq!(outs, expect);
-        assert_eq!(end, now);
-        assert_eq!(batched.stats(), reference.stats());
     }
 
     #[test]

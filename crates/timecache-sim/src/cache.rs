@@ -1,7 +1,7 @@
 //! A single set-associative cache level.
 //!
-//! [`Cache`] owns the tag array, replacement state, statistics, and — when
-//! the hierarchy runs in [`crate::SecurityMode::TimeCache`] — a
+//! [`Cache`] owns the tag array, LRU state, statistics, and — when the
+//! hierarchy runs in [`crate::SecurityMode::TimeCache`] — a
 //! [`TimeCacheState`] covering its lines. Access *semantics* (what counts as
 //! a hit, where requests go next) live in [`crate::Hierarchy`]; the cache
 //! provides the mechanical operations: lookup, fill, invalidate, and the
@@ -16,7 +16,7 @@
 use crate::addr::LineAddr;
 use crate::config::CacheConfig;
 use crate::geometry::CacheGeometry;
-use crate::replacement::ReplacementState;
+use crate::lru::Lru;
 use crate::stats::CacheStats;
 use timecache_core::{Snapshot, TimeCacheConfig, TimeCacheState, Visibility};
 
@@ -58,7 +58,7 @@ pub struct Cache {
     tags: Vec<u64>,
     /// Dirty flags, packed 64 lines per word, indexed by flat line index.
     dirty: Vec<u64>,
-    replacement: ReplacementState,
+    lru: Lru,
     timecache: Option<TimeCacheState>,
     stats: CacheStats,
     /// Hot-path copies of the derived geometry, resolved once at build time
@@ -89,7 +89,7 @@ impl Cache {
             index: config.index,
             tags: vec![INVALID_TAG; g.num_lines()],
             dirty: vec![0; g.num_lines().div_ceil(64)],
-            replacement: ReplacementState::build(config.replacement, g.num_sets(), g.ways()),
+            lru: Lru::new(g.num_sets(), g.ways()),
             timecache: timecache.map(|tc| TimeCacheState::new(g.num_lines(), num_contexts, tc)),
             stats: CacheStats::new(),
             num_sets: g.num_sets(),
@@ -162,7 +162,7 @@ impl Cache {
 
     /// Records a demand hit for replacement purposes.
     pub fn touch(&mut self, hit: LookupResult) {
-        self.replacement.on_hit(hit.set, hit.way);
+        self.lru.on_hit(hit.set, hit.way);
     }
 
     /// Fills `line` for hardware context `ctx` at cycle `now`, evicting a
@@ -194,12 +194,12 @@ impl Cache {
         let set = self.index.set_of(line, self.num_sets);
         let base = set as usize * self.ways;
 
-        // Prefer an invalid way; otherwise ask the replacement policy.
+        // Prefer an invalid way; otherwise evict the least recently used.
         let way = self.tags[base..base + self.ways]
             .iter()
             .position(|&t| t == INVALID_TAG)
             .map(|w| w as u32)
-            .unwrap_or_else(|| self.replacement.victim(set));
+            .unwrap_or_else(|| self.lru.victim(set));
         let flat = base + way as usize;
 
         let old = self.tags[flat];
@@ -216,7 +216,7 @@ impl Cache {
 
         self.tags[flat] = line.raw();
         self.set_dirty_bit(flat, false);
-        self.replacement.on_fill(set, way);
+        self.lru.on_fill(set, way);
         if let Some(tc) = &mut self.timecache {
             tc.on_fill(flat, ctx, now);
         }

@@ -3,7 +3,6 @@
 use crate::geometry::CacheGeometry;
 use crate::index::IndexFn;
 use crate::latency::LatencyConfig;
-use crate::replacement::ReplacementKind;
 use std::error::Error;
 use std::fmt;
 use timecache_core::TimeCacheConfig;
@@ -46,8 +45,6 @@ impl SecurityMode {
 pub struct CacheConfig {
     /// Physical shape.
     pub geometry: CacheGeometry,
-    /// Replacement policy.
-    pub replacement: ReplacementKind,
     /// Set-index function.
     pub index: IndexFn,
 }
@@ -57,7 +54,6 @@ impl CacheConfig {
     pub fn new(size_bytes: u64, ways: u32, line_size: u64) -> Self {
         CacheConfig {
             geometry: CacheGeometry::new(size_bytes, ways, line_size),
-            replacement: ReplacementKind::Lru,
             index: IndexFn::Modulo,
         }
     }

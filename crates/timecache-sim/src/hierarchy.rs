@@ -95,8 +95,7 @@ pub enum BatchClock {
     /// regardless of observed latencies (back-to-back pipelined replay).
     Stride(u64),
     /// Serialized replay: each access issues `latency + k` cycles after the
-    /// previous one — the dependent-chain model the oracle driver and trace
-    /// replay use.
+    /// previous one — the dependent-chain model the oracle driver uses.
     LatencyPlus(u64),
 }
 

@@ -7,8 +7,9 @@
 //! The paper evaluates TimeCache inside gem5's `TimingSimpleCPU`; this crate
 //! provides the equivalent level of modelling in pure Rust:
 //!
-//! * set-associative caches with pluggable [`replacement`] policies and
-//!   [index functions](index) (including a CEASER-like keyed hash),
+//! * set-associative caches with exact LRU replacement (the policy of the
+//!   gem5 classic caches the paper uses) and [index functions](index)
+//!   (including a CEASER-like keyed hash),
 //! * private per-core L1I/L1D caches and an inclusive shared LLC with an
 //!   MSI-style directory ([`Hierarchy`]),
 //! * SMT: multiple hardware contexts per core, each with its own TimeCache
@@ -50,7 +51,7 @@ mod geometry;
 mod hierarchy;
 pub mod index;
 mod latency;
-pub mod replacement;
+mod lru;
 mod stats;
 
 pub use addr::{Addr, LineAddr};
@@ -62,5 +63,4 @@ pub use hierarchy::{
 };
 pub use index::IndexFn;
 pub use latency::LatencyConfig;
-pub use replacement::ReplacementKind;
 pub use stats::{CacheStats, HierarchyStats};

@@ -1,11 +1,10 @@
 //! Integration tests for simulator edge cases: write-back correctness,
-//! directory maintenance, alternative replacement policies and index
-//! functions operating inside the full hierarchy.
+//! directory maintenance and index functions operating inside the full
+//! hierarchy.
 
 use timecache_core::TimeCacheConfig;
 use timecache_sim::{
-    AccessKind, CacheConfig, Hierarchy, HierarchyConfig, IndexFn, Level, LineAddr, ReplacementKind,
-    SecurityMode,
+    AccessKind, CacheConfig, Hierarchy, HierarchyConfig, IndexFn, Level, LineAddr, SecurityMode,
 };
 
 fn small(security: SecurityMode, cores: usize) -> HierarchyConfig {
@@ -73,39 +72,6 @@ fn store_migration_between_cores_stays_coherent() {
     let la = LineAddr::from_addr(0x1000, 64);
     assert!(h.l1d(0).lookup(la).is_none());
     assert!(h.l1d(1).lookup(la).is_some());
-}
-
-#[test]
-fn alternative_replacement_policies_run_in_hierarchy() {
-    for kind in [
-        ReplacementKind::TreePlru,
-        ReplacementKind::Fifo,
-        ReplacementKind::Random { seed: 9 },
-        ReplacementKind::Srrip,
-    ] {
-        let mut cfg = small(SecurityMode::TimeCache(TimeCacheConfig::default()), 1);
-        cfg.l1d.replacement = kind;
-        cfg.llc.replacement = kind;
-        let mut h = Hierarchy::new(cfg).unwrap();
-        for i in 0..2000u64 {
-            // A hot 8-line loop (hits) with periodic streaming excursions
-            // (misses).
-            let addr = if i % 4 == 0 {
-                (i * 97 % 512) * 64
-            } else {
-                0x10_0000 + (i % 8) * 64
-            };
-            h.access(0, 0, AccessKind::Load, addr, i);
-        }
-        let s = h.stats();
-        assert!(s.l1d[0].hits > 0, "{kind:?} produced no hits");
-        assert!(s.l1d[0].misses > 0, "{kind:?} produced no misses");
-        assert_eq!(
-            s.l1d[0].accesses,
-            s.l1d[0].hits + s.l1d[0].misses + s.l1d[0].first_access,
-            "{kind:?} stats identity"
-        );
-    }
 }
 
 #[test]

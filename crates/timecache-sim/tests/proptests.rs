@@ -1,38 +1,14 @@
 //! Randomized (deterministic, seed-driven) tests for the cache simulator.
 //!
 //! The workspace builds offline with no third-party crates (DESIGN.md §6),
-//! so these drive the invariants from an in-file xorshift64* generator over
-//! a fixed set of seeds instead of `proptest`.
+//! so these drive the invariants from `timecache_core`'s [`FastRng`] over a
+//! fixed set of seeds instead of `proptest`.
 
 use std::collections::HashMap;
-use timecache_core::TimeCacheConfig;
+use timecache_core::{FastRng, TimeCacheConfig};
 use timecache_sim::{
     AccessKind, CacheConfig, Hierarchy, HierarchyConfig, Level, LineAddr, SecurityMode,
 };
-
-/// Minimal xorshift64* PRNG (duplicated from `timecache_workloads::rng`
-/// to keep this crate's dev-dependencies empty).
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        Rng((z ^ (z >> 31)) | 1)
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn below(&mut self, bound: u64) -> u64 {
-        ((self.next_u64() as u128 * bound as u128) >> 64) as u64
-    }
-}
 
 fn tiny_config(security: SecurityMode, cores: usize) -> HierarchyConfig {
     let mut cfg = HierarchyConfig::with_cores(cores);
@@ -50,11 +26,11 @@ enum Ev {
     Flush { line: u64 },
 }
 
-fn random_event(rng: &mut Rng) -> Ev {
-    let line = rng.below(64);
-    if rng.below(4) < 3 {
+fn random_event(rng: &mut FastRng) -> Ev {
+    let line = rng.next_below(64);
+    if rng.next_below(4) < 3 {
         Ev::Access {
-            kind: rng.below(3) as u8,
+            kind: rng.next_below(3) as u8,
             line,
         }
     } else {
@@ -75,8 +51,8 @@ fn access_kind(kind: u8) -> AccessKind {
 #[test]
 fn latencies_match_served_level() {
     for seed in 0..48u64 {
-        let mut rng = Rng::new(seed);
-        let nevents = rng.below(299) as usize + 1;
+        let mut rng = FastRng::seed_from_u64(seed);
+        let nevents = rng.next_below(299) as usize + 1;
         let mut h = Hierarchy::new(tiny_config(SecurityMode::Baseline, 1)).unwrap();
         let lat = h.config().latencies;
         for i in 0..nevents {
@@ -108,11 +84,11 @@ fn latencies_match_served_level() {
 #[test]
 fn llc_inclusivity_holds() {
     for seed in 0..48u64 {
-        let mut rng = Rng::new(0x100 + seed);
-        let nevents = rng.below(299) as usize + 1;
+        let mut rng = FastRng::seed_from_u64(0x100 + seed);
+        let nevents = rng.next_below(299) as usize + 1;
         let mut h = Hierarchy::new(tiny_config(SecurityMode::Baseline, 2)).unwrap();
         for i in 0..nevents {
-            let core = rng.below(2) as usize;
+            let core = rng.next_below(2) as usize;
             match random_event(&mut rng) {
                 Ev::Access { kind, line } => {
                     h.access(core, 0, access_kind(kind), line * 64, i as u64);
@@ -141,9 +117,9 @@ fn llc_inclusivity_holds() {
 #[test]
 fn baseline_matches_reference_lru() {
     for seed in 0..48u64 {
-        let mut rng = Rng::new(0x200 + seed);
-        let nlines = rng.below(399) as usize + 1;
-        let lines: Vec<u64> = (0..nlines).map(|_| rng.below(48)).collect();
+        let mut rng = FastRng::seed_from_u64(0x200 + seed);
+        let nlines = rng.next_below(399) as usize + 1;
+        let lines: Vec<u64> = (0..nlines).map(|_| rng.next_below(48)).collect();
         let mut h = Hierarchy::new(tiny_config(SecurityMode::Baseline, 1)).unwrap();
         // Reference: L1D 8 sets x 2 ways over line addresses.
         let sets = 8u64;
@@ -184,9 +160,9 @@ fn baseline_matches_reference_lru() {
 #[test]
 fn single_context_residency_unchanged() {
     for seed in 0..48u64 {
-        let mut rng = Rng::new(0x300 + seed);
-        let nlines = rng.below(299) as usize + 1;
-        let lines: Vec<u64> = (0..nlines).map(|_| rng.below(64)).collect();
+        let mut rng = FastRng::seed_from_u64(0x300 + seed);
+        let nlines = rng.next_below(299) as usize + 1;
+        let lines: Vec<u64> = (0..nlines).map(|_| rng.next_below(64)).collect();
         let mut base = Hierarchy::new(tiny_config(SecurityMode::Baseline, 1)).unwrap();
         let mut tc = Hierarchy::new(tiny_config(
             SecurityMode::TimeCache(TimeCacheConfig::default()),
@@ -221,8 +197,8 @@ fn single_context_residency_unchanged() {
 #[test]
 fn stats_identity() {
     for seed in 0..48u64 {
-        let mut rng = Rng::new(0x400 + seed);
-        let nevents = rng.below(299) as usize + 1;
+        let mut rng = FastRng::seed_from_u64(0x400 + seed);
+        let nevents = rng.next_below(299) as usize + 1;
         let mut h = Hierarchy::new(tiny_config(
             SecurityMode::TimeCache(TimeCacheConfig::default()),
             1,

@@ -16,12 +16,16 @@
 //! * [`attacks`] — reuse/contention attack programs and analysis.
 //! * [`telemetry`] — zero-dependency metrics registry, event tracing, and
 //!   per-phase cycle profiling shared by every layer above.
+//! * [`oracle`] — correctness oracles: the differential reference model
+//!   with its random-trace generator and shrinker, and the TVLA-style
+//!   statistical leakage assessment.
 //!
 //! See the repository `README.md` for a guided tour and `examples/` for
 //! runnable scenarios.
 
 pub use timecache_attacks as attacks;
 pub use timecache_core as core;
+pub use timecache_oracle as oracle;
 pub use timecache_os as os;
 pub use timecache_sim as sim;
 pub use timecache_telemetry as telemetry;
