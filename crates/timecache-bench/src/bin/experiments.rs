@@ -21,7 +21,7 @@
 //! `fault_matrix.partial.jsonl`, so interrupted runs resume); it exits
 //! nonzero if any TimeCache cell violates the security invariant, if the
 //! baseline rows fail to exhibit the expected leak, or if more than
-//! `--max-failures` cells (default 0) keep panicking past the retry budget.
+//! `--max-failures` cells (default 0) panic.
 //! `leakage-sweep` runs the TVLA-style statistical leakage assessment over
 //! every attack primitive (checkpointed to `leakage_matrix.partial.jsonl`)
 //! and exits nonzero unless every channel's baseline arm leaks

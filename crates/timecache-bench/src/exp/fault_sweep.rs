@@ -19,12 +19,12 @@
 //! Artifacts: `fault_matrix.csv` and `fault_matrix.json`.
 //!
 //! Setting the env var `TIMECACHE_FAULT_SWEEP_PANIC=<job index>` makes
-//! that cell panic on every attempt — a test/CI hook for exercising the
-//! resilient engine's failure path end to end.
+//! that cell panic — a test/CI hook for exercising the journaled engine's
+//! failure path end to end.
 
 use crate::output::{print_table, results_dir, write_csv};
 use crate::runner::RunParams;
-use crate::sweep::{self, JobFailure, SweepPolicy};
+use crate::sweep::{self, JobFailure};
 use timecache_core::{FaultKind, FaultPlan, TimeCacheConfig, TriggerPoint};
 use timecache_os::{programs::StridedLoop, System, SystemConfig};
 use timecache_sim::{HierarchyConfig, SecurityMode};
@@ -141,7 +141,7 @@ pub struct FaultSweepSummary {
     pub baseline_rows_completed: usize,
     /// Faults injected across all completed cells.
     pub total_injected: u64,
-    /// Cells that kept panicking past the retry budget.
+    /// Cells whose job panicked.
     pub failures: Vec<JobFailure>,
 }
 
@@ -223,7 +223,6 @@ pub fn run(params: &RunParams) -> FaultSweepSummary {
         "fault_matrix",
         &tag,
         JOBS,
-        SweepPolicy::default(),
         Row::encode,
         Row::decode,
         |i| {
@@ -235,8 +234,6 @@ pub fn run(params: &RunParams) -> FaultSweepSummary {
     )
     .expect("fault-matrix checkpoint journal");
 
-    let failed: std::collections::HashMap<usize, &JobFailure> =
-        outcome.failures.iter().map(|f| (f.index, f)).collect();
     let header = [
         "scenario",
         "mode",
@@ -252,13 +249,13 @@ pub fn run(params: &RunParams) -> FaultSweepSummary {
         baseline_violations: 0,
         baseline_rows_completed: 0,
         total_injected: 0,
-        failures: outcome.failures.clone(),
+        failures: Vec::new(),
     };
-    for (i, slot) in outcome.results.iter().enumerate() {
+    for (i, slot) in outcome.iter().enumerate() {
         let (label, _) = SCENARIOS[i / 2];
         let mode = if i % 2 == 1 { "timecache" } else { "baseline" };
         match slot {
-            Some(row) => {
+            Ok(row) => {
                 if mode == "timecache" {
                     summary.timecache_violations += row.violations;
                 } else {
@@ -276,11 +273,8 @@ pub fn run(params: &RunParams) -> FaultSweepSummary {
                     row.verdict().to_owned(),
                 ]);
             }
-            None => {
-                let message = failed
-                    .get(&i)
-                    .map(|f| f.message.as_str())
-                    .unwrap_or("unknown failure");
+            Err(failure) => {
+                summary.failures.push(failure.clone());
                 table.push(vec![
                     label.to_owned(),
                     mode.to_owned(),
@@ -288,7 +282,7 @@ pub fn run(params: &RunParams) -> FaultSweepSummary {
                     "-".into(),
                     "-".into(),
                     "-".into(),
-                    format!("failed: {message}"),
+                    format!("failed: {}", failure.message),
                 ]);
             }
         }
@@ -310,10 +304,7 @@ pub fn run(params: &RunParams) -> FaultSweepSummary {
         }
         let _ = std::fmt::Write::write_fmt(
             &mut json,
-            format_args!(
-                "{{\"job\":{},\"attempts\":{},\"message\":",
-                f.index, f.attempts
-            ),
+            format_args!("{{\"job\":{},\"message\":", f.index),
         );
         encode::json_string(&mut json, &f.message);
         json.push('}');
@@ -331,7 +322,7 @@ pub fn run(params: &RunParams) -> FaultSweepSummary {
 
     if !summary.failures.is_empty() {
         eprintln!(
-            "{} of {JOBS} cells failed after retries (see fault_matrix.csv)",
+            "{} of {JOBS} cells panicked (see fault_matrix.csv)",
             summary.failures.len()
         );
     }

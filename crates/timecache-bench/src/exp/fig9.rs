@@ -12,7 +12,7 @@ use timecache_workloads::parsec::ParsecBenchmark;
 /// `(benchmark, mode)` run across cores as an independent job.
 pub fn sweep(params: &RunParams) -> Vec<Comparison> {
     let benches = ParsecBenchmark::ALL;
-    let metrics = engine::run(benches.len() * 2, |i| {
+    let metrics = engine::run_with_jobs(benches.len() * 2, engine::jobs(), |i| {
         let bench = benches[i / 2];
         let (mode, name) = if i % 2 == 0 {
             (SecurityMode::Baseline, "baseline")

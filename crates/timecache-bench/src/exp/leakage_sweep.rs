@@ -23,7 +23,7 @@
 
 use crate::output::{print_table, results_dir, write_csv};
 use crate::runner::RunParams;
-use crate::sweep::{self, JobFailure, SweepPolicy};
+use crate::sweep::{self, JobFailure};
 use timecache_oracle::{assess, Assessment, Channel, LEAKAGE_THRESHOLD};
 use timecache_telemetry::encode;
 
@@ -111,7 +111,7 @@ pub struct LeakageSweepSummary {
     pub defended_leaks: usize,
     /// Rows that completed.
     pub rows_completed: usize,
-    /// Cells that kept panicking past the retry budget.
+    /// Cells whose job panicked.
     pub failures: Vec<JobFailure>,
 }
 
@@ -155,7 +155,6 @@ pub fn run(params: &RunParams) -> LeakageSweepSummary {
         "leakage_matrix",
         &tag,
         JOBS,
-        SweepPolicy::default(),
         Row::encode,
         Row::decode,
         |i| {
@@ -165,8 +164,6 @@ pub fn run(params: &RunParams) -> LeakageSweepSummary {
     )
     .expect("leakage-matrix checkpoint journal");
 
-    let failed: std::collections::HashMap<usize, &JobFailure> =
-        outcome.failures.iter().map(|f| (f.index, f)).collect();
     let header = [
         "channel",
         "defense",
@@ -180,12 +177,12 @@ pub fn run(params: &RunParams) -> LeakageSweepSummary {
         baseline_silent: 0,
         defended_leaks: 0,
         rows_completed: 0,
-        failures: outcome.failures.clone(),
+        failures: Vec::new(),
     };
-    for (i, slot) in outcome.results.iter().enumerate() {
+    for (i, slot) in outcome.iter().enumerate() {
         let channel = Channel::ALL[i];
         match slot {
-            Some(row) => {
+            Ok(row) => {
                 summary.rows_completed += 1;
                 if row.t_baseline.abs() <= LEAKAGE_THRESHOLD {
                     summary.baseline_silent += 1;
@@ -202,18 +199,15 @@ pub fn run(params: &RunParams) -> LeakageSweepSummary {
                     row.verdict().to_owned(),
                 ]);
             }
-            None => {
-                let message = failed
-                    .get(&i)
-                    .map(|f| f.message.as_str())
-                    .unwrap_or("unknown failure");
+            Err(failure) => {
+                summary.failures.push(failure.clone());
                 table.push(vec![
                     channel.name().to_owned(),
                     channel.defense().to_owned(),
                     "-".into(),
                     "-".into(),
                     "-".into(),
-                    format!("failed: {message}"),
+                    format!("failed: {}", failure.message),
                 ]);
             }
         }
@@ -236,8 +230,7 @@ pub fn run(params: &RunParams) -> LeakageSweepSummary {
         format_args!(",\"threshold\":{LEAKAGE_THRESHOLD},\"rows\":["),
     );
     let mut first = true;
-    for slot in outcome.results.iter() {
-        let Some(row) = slot else { continue };
+    for row in outcome.iter().flatten() {
         if !first {
             json.push(',');
         }
@@ -263,10 +256,7 @@ pub fn run(params: &RunParams) -> LeakageSweepSummary {
         }
         let _ = std::fmt::Write::write_fmt(
             &mut json,
-            format_args!(
-                "{{\"job\":{},\"attempts\":{},\"message\":",
-                f.index, f.attempts
-            ),
+            format_args!("{{\"job\":{},\"message\":", f.index),
         );
         encode::json_string(&mut json, &f.message);
         json.push('}');
@@ -284,7 +274,7 @@ pub fn run(params: &RunParams) -> LeakageSweepSummary {
 
     if !summary.failures.is_empty() {
         eprintln!(
-            "{} of {JOBS} cells failed after retries (see leakage_matrix.csv)",
+            "{} of {JOBS} cells panicked (see leakage_matrix.csv)",
             summary.failures.len()
         );
     }

@@ -39,7 +39,7 @@ pub fn spec_sweep(params: &RunParams) -> Vec<Comparison> {
 /// [`spec_sweep`] over an explicit pair list (ablations and tests sweep
 /// subsets).
 pub fn sweep_pairs(pairs: &[PairSpec], params: &RunParams) -> Vec<Comparison> {
-    let metrics = sweep::run(pairs.len() * 2, |i| {
+    let metrics = sweep::run_with_jobs(pairs.len() * 2, sweep::jobs(), |i| {
         let spec = &pairs[i / 2];
         let (mode, name) = if i % 2 == 0 {
             (SecurityMode::Baseline, "baseline")

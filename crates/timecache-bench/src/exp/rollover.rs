@@ -26,7 +26,7 @@ pub fn run(params: &RunParams) {
     let header = ["ts-width", "overhead", "llc-fa-mpki", "attack-hits"];
     // One engine job per counter width; the security re-check rides along
     // in the job so an assertion failure surfaces at join.
-    let rows = sweep::run(WIDTHS.len(), |i| {
+    let rows = sweep::run_with_jobs(WIDTHS.len(), sweep::jobs(), |i| {
         let width = WIDTHS[i];
         sweep::progress(&format!("  width {width} bits ..."));
         let p = RunParams {

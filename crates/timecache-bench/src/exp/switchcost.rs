@@ -62,7 +62,7 @@ pub fn run(params: &RunParams) {
         spec.label()
     ));
     // The two modes are independent: run them as engine jobs.
-    let mut metrics = sweep::run(2, |i| {
+    let mut metrics = sweep::run_with_jobs(2, sweep::jobs(), |i| {
         let mode = if i == 0 {
             SecurityMode::Baseline
         } else {

@@ -39,18 +39,17 @@
 //!
 //! # Resilience
 //!
-//! [`run`] propagates a job panic and loses the whole sweep — fine for the
-//! paper artifacts, wrong for long fault-injection campaigns. For those,
-//! [`run_resilient`] isolates each job behind `catch_unwind`, retries it a
-//! bounded number of times (with capped exponential spin backoff between
-//! attempts), and reports survivors and failures side by side in a
-//! [`SweepOutcome`]: one failed job costs one row, never the sweep.
-//! [`run_checkpointed`] additionally journals every finished job to
-//! `<name>.partial.jsonl` under the results directory, so a killed sweep
-//! resumes from completed work — and because results are assembled in job
-//! order, the resumed sweep's final artifact is byte-identical to an
-//! uninterrupted run's. The journal is deleted once the sweep completes
-//! with zero failures.
+//! [`run_with_jobs`] propagates a job panic and loses the whole sweep —
+//! fine for the paper artifacts, wrong for long fault-injection
+//! campaigns. For those, [`run_checkpointed`] isolates each job behind
+//! `catch_unwind` and returns one `Result` per job: a panicking job costs
+//! its own slot, never the sweep. It is not retried — every job is a pure
+//! function of its index, so a rerun would panic the same way. Every
+//! finished job is journaled to `<name>.partial.jsonl` under the results
+//! directory, so a killed sweep resumes from completed work — and because
+//! results are assembled in job order, the resumed sweep's final artifact
+//! is byte-identical to an uninterrupted run's. The journal is deleted
+//! once the sweep completes with zero failures.
 
 use std::fmt::Write as _;
 use std::io::Write;
@@ -87,22 +86,13 @@ pub fn progress(msg: &str) {
     let _ = writeln!(out, "{msg}");
 }
 
-/// Runs jobs `0..n` with the process-wide worker count ([`jobs`]) and
-/// returns their results indexed by job.
+/// Runs jobs `0..n` on `num_jobs` workers (pass [`jobs`] for the
+/// process-wide count) and returns their results indexed by job.
 ///
 /// # Panics
 ///
 /// Propagates any job panic to the caller (workers are joined by
 /// `std::thread::scope`).
-pub fn run<T, F>(n: usize, job: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_with_jobs(n, jobs(), job)
-}
-
-/// [`run`] with an explicit worker count.
 pub fn run_with_jobs<T, F>(n: usize, num_jobs: usize, job: F) -> Vec<T>
 where
     T: Send,
@@ -174,57 +164,16 @@ where
 }
 
 // ---------------------------------------------------------------------
-// Resilient execution: panic isolation, bounded retry, checkpoint/resume.
+// Journaled execution: panic isolation, checkpoint/resume.
 // ---------------------------------------------------------------------
 
-/// Retry policy for [`run_resilient`] / [`run_checkpointed`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SweepPolicy {
-    /// How many times a panicking job is re-attempted before it is
-    /// recorded as failed (so each job runs at most `1 + max_retries`
-    /// times).
-    pub max_retries: u32,
-    /// Cap on the exponential spin backoff between attempts, in
-    /// `spin_loop` iterations. The backoff is deterministic busy-work —
-    /// no clocks — so sweeps stay reproducible.
-    pub backoff_cap: u64,
-}
-
-impl Default for SweepPolicy {
-    fn default() -> Self {
-        SweepPolicy {
-            max_retries: 1,
-            backoff_cap: 1 << 16,
-        }
-    }
-}
-
-/// One job that kept panicking past its retry budget.
+/// One job that panicked.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobFailure {
     /// The job index that failed.
     pub index: usize,
-    /// Attempts made (always `1 + max_retries` here).
-    pub attempts: u32,
-    /// The final panic message.
+    /// The panic message.
     pub message: String,
-}
-
-/// Results of a resilient sweep: per-job slots (`None` where the job
-/// failed) plus the failure records.
-#[derive(Debug)]
-pub struct SweepOutcome<T> {
-    /// Job results in index order; `None` marks a failed job.
-    pub results: Vec<Option<T>>,
-    /// Jobs that exhausted their retry budget, in index order.
-    pub failures: Vec<JobFailure>,
-}
-
-impl<T> SweepOutcome<T> {
-    /// Whether every job produced a result.
-    pub fn is_complete(&self) -> bool {
-        self.failures.is_empty()
-    }
 }
 
 /// Renders a caught panic payload (the `&str`/`String` cases cover every
@@ -237,68 +186,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     } else {
         "opaque panic payload".to_owned()
     }
-}
-
-/// Deterministic capped-exponential busy-wait before retry `attempt`
-/// (1-based): 128, 256, ... `spin_loop` iterations, capped at `cap`.
-fn retry_backoff(attempt: u32, cap: u64) {
-    let iters = (64u64 << attempt.min(16)).min(cap);
-    for _ in 0..iters {
-        std::hint::spin_loop();
-    }
-}
-
-/// Runs `job(index)` with panic isolation and bounded retry.
-fn attempt_job<T>(
-    index: usize,
-    policy: &SweepPolicy,
-    job: &(impl Fn(usize) -> T + Sync),
-) -> Result<T, JobFailure> {
-    let mut attempts = 0u32;
-    loop {
-        attempts += 1;
-        match std::panic::catch_unwind(AssertUnwindSafe(|| job(index))) {
-            Ok(value) => return Ok(value),
-            Err(payload) => {
-                let message = panic_message(payload);
-                if attempts > policy.max_retries {
-                    return Err(JobFailure {
-                        index,
-                        attempts,
-                        message,
-                    });
-                }
-                progress(&format!(
-                    "  job {index} panicked (attempt {attempts}): {message}; retrying"
-                ));
-                retry_backoff(attempts, policy.backoff_cap);
-            }
-        }
-    }
-}
-
-/// [`run`], but one panicking job costs one result instead of the sweep:
-/// each job runs behind `catch_unwind` with up to `policy.max_retries`
-/// re-attempts, and jobs that keep panicking are reported as
-/// [`JobFailure`]s alongside everyone else's results.
-pub fn run_resilient<T, F>(n: usize, policy: SweepPolicy, job: F) -> SweepOutcome<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let attempted = run_with_jobs(n, jobs(), |i| attempt_job(i, &policy, &job));
-    let mut results = Vec::with_capacity(n);
-    let mut failures = Vec::new();
-    for outcome in attempted {
-        match outcome {
-            Ok(value) => results.push(Some(value)),
-            Err(failure) => {
-                results.push(None);
-                failures.push(failure);
-            }
-        }
-    }
-    SweepOutcome { results, failures }
 }
 
 /// Checkpoint header line: identifies the sweep, its parameterisation
@@ -357,7 +244,8 @@ fn parse_checkpoint_line(line: &str) -> Option<(usize, String)> {
     Some((index, row))
 }
 
-/// [`run_resilient`] with crash-resumable progress: every finished job is
+/// Runs jobs `0..n` on the process-wide worker count ([`jobs`]) with
+/// panic isolation and crash-resumable progress: every finished job is
 /// appended (and flushed) to `<name>.partial.jsonl` under `dir`
 /// (experiments pass [`crate::output::results_dir`]), and a rerun with
 /// the same `name`, `tag`, and `n` skips jobs the journal already covers.
@@ -369,18 +257,16 @@ fn parse_checkpoint_line(line: &str) -> Option<(usize, String)> {
 /// # Errors
 ///
 /// Returns an error if the journal cannot be written. Job panics never
-/// surface here — they are [`JobFailure`]s.
-#[allow(clippy::too_many_arguments)]
+/// surface here — they are the [`JobFailure`] slots of the result.
 pub fn run_checkpointed<T, F>(
     dir: &std::path::Path,
     name: &str,
     tag: &str,
     n: usize,
-    policy: SweepPolicy,
     encode_row: impl Fn(&T) -> String + Sync,
     decode_row: impl Fn(&str) -> Option<T>,
     job: F,
-) -> std::io::Result<SweepOutcome<T>>
+) -> std::io::Result<Vec<Result<T, JobFailure>>>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -422,35 +308,36 @@ where
     let file = Mutex::new(file);
 
     let todo: Vec<usize> = (0..n).filter(|&i| done[i].is_none()).collect();
-    let fresh = run_resilient(todo.len(), policy, |k| {
+    let fresh = run_with_jobs(todo.len(), jobs(), |k| {
         let index = todo[k];
-        let row = job(index);
+        let row = std::panic::catch_unwind(AssertUnwindSafe(|| job(index))).map_err(|payload| {
+            JobFailure {
+                index,
+                message: panic_message(payload),
+            }
+        })?;
         let record = checkpoint_record(index, &encode_row(&row));
         let mut f = file.lock().expect("checkpoint journal poisoned");
         let _ = writeln!(f, "{record}");
         let _ = f.flush();
-        (index, row)
+        Ok(row)
     });
 
-    let failures: Vec<JobFailure> = fresh
-        .failures
+    // `todo` lists the empty slots in index order, so the fresh results
+    // fill them in that order.
+    let mut fresh = fresh.into_iter();
+    let results: Vec<Result<T, JobFailure>> = done
         .into_iter()
-        .map(|f| JobFailure {
-            index: todo[f.index],
-            ..f
+        .map(|slot| match slot {
+            Some(row) => Ok(row),
+            None => fresh.next().expect("one fresh result per empty slot"),
         })
         .collect();
-    for (index, row) in fresh.results.into_iter().flatten() {
-        done[index] = Some(row);
-    }
-    if failures.is_empty() {
+    if results.iter().all(Result::is_ok) {
         drop(file);
         let _ = std::fs::remove_file(&path);
     }
-    Ok(SweepOutcome {
-        results: done,
-        failures,
-    })
+    Ok(results)
 }
 
 #[cfg(test)]
@@ -532,50 +419,6 @@ mod tests {
     }
 
     #[test]
-    fn resilient_sweep_survives_a_panicking_job() {
-        with_quiet_panics(|| {
-            let policy = SweepPolicy {
-                max_retries: 1,
-                backoff_cap: 1 << 8,
-            };
-            let out = run_resilient(6, policy, |i| {
-                assert!(i != 3, "job 3 always dies");
-                i * 2
-            });
-            assert!(!out.is_complete());
-            assert_eq!(out.results.len(), 6);
-            assert_eq!(out.results[2], Some(4));
-            assert_eq!(out.results[3], None);
-            assert_eq!(out.failures.len(), 1);
-            let f = &out.failures[0];
-            assert_eq!((f.index, f.attempts), (3, 2));
-            assert!(f.message.contains("job 3 always dies"), "{}", f.message);
-        });
-    }
-
-    #[test]
-    fn resilient_retry_rescues_a_transient_panic() {
-        with_quiet_panics(|| {
-            // Panics on every first attempt, succeeds on the retry.
-            let tried: Vec<AtomicUsize> = (0..4).map(|_| AtomicUsize::new(0)).collect();
-            let out = run_resilient(4, SweepPolicy::default(), |i| {
-                if tried[i].fetch_add(1, Ordering::Relaxed) == 0 {
-                    panic!("transient");
-                }
-                i
-            });
-            assert!(out.is_complete());
-            assert_eq!(
-                out.results
-                    .into_iter()
-                    .map(Option::unwrap)
-                    .collect::<Vec<_>>(),
-                vec![0, 1, 2, 3]
-            );
-        });
-    }
-
-    #[test]
     fn checkpoint_lines_roundtrip() {
         let line = checkpoint_record(7, "a|b\"c\\d\ne");
         assert_eq!(
@@ -615,20 +458,8 @@ mod tests {
         )
         .unwrap();
 
-        let out = run_checkpointed(
-            &dir,
-            "ckpt_test",
-            "v1",
-            5,
-            SweepPolicy::default(),
-            encode,
-            decode,
-            job,
-        )
-        .unwrap();
-        assert!(out.is_complete());
-        let values: Vec<usize> = out.results.into_iter().map(Option::unwrap).collect();
-        assert_eq!(values, vec![100, 101, 102, 103, 104]);
+        let out = run_checkpointed(&dir, "ckpt_test", "v1", 5, encode, decode, job).unwrap();
+        assert_eq!(out, vec![Ok(100), Ok(101), Ok(102), Ok(103), Ok(104)]);
         // Jobs 0 and 2 came from the journal; only 1, 3, 4 (torn) ran.
         assert_eq!(runs.load(Ordering::Relaxed), 3);
         // A clean finish removes the journal.
@@ -645,18 +476,8 @@ mod tests {
         )
         .unwrap();
         runs.store(0, Ordering::Relaxed);
-        let out = run_checkpointed(
-            &dir,
-            "ckpt_test",
-            "v2",
-            5,
-            SweepPolicy::default(),
-            encode,
-            decode,
-            job,
-        )
-        .unwrap();
-        assert!(out.is_complete());
+        let out = run_checkpointed(&dir, "ckpt_test", "v2", 5, encode, decode, job).unwrap();
+        assert!(out.iter().all(Result::is_ok));
         assert_eq!(runs.load(Ordering::Relaxed), 5);
 
         let _ = std::fs::remove_dir_all(&dir);
@@ -668,43 +489,51 @@ mod tests {
             let dir = std::env::temp_dir().join("tc-sweep-ckpt-fail-test");
             let _ = std::fs::remove_dir_all(&dir);
 
-            let policy = SweepPolicy {
-                max_retries: 0,
-                backoff_cap: 1 << 8,
-            };
             let out = run_checkpointed(
                 &dir,
                 "ckpt_fail",
                 "v1",
-                4,
-                policy,
+                6,
                 |v: &usize| v.to_string(),
                 |s| s.parse().ok(),
                 |i| {
-                    assert!(i != 1, "boom");
-                    i
+                    assert!(i != 3, "job 3 always dies");
+                    i * 2
                 },
             )
             .unwrap();
-            assert_eq!(out.failures.len(), 1);
-            assert_eq!(out.failures[0].index, 1);
-            assert_eq!(out.results[1], None);
+            assert_eq!(out.len(), 6);
+            // The panic costs job 3's slot only; its neighbours are intact.
+            assert_eq!(out[2], Ok(4));
+            assert_eq!(out[4], Ok(8));
+            let failure = out[3].as_ref().unwrap_err();
+            assert_eq!(failure.index, 3);
+            assert!(
+                failure.message.contains("job 3 always dies"),
+                "{}",
+                failure.message
+            );
+            assert_eq!(out.iter().filter(|r| r.is_err()).count(), 1);
             // The journal survives for a later resume...
             let path = dir.join("ckpt_fail.partial.jsonl");
             assert!(path.exists());
-            // ...and a rerun picks up the three finished jobs.
+            // ...and a rerun picks up the five finished jobs.
+            let runs = AtomicUsize::new(0);
             let out = run_checkpointed(
                 &dir,
                 "ckpt_fail",
                 "v1",
-                4,
-                policy,
+                6,
                 |v: &usize| v.to_string(),
                 |s| s.parse().ok(),
-                |i| i,
+                |i| {
+                    runs.fetch_add(1, Ordering::Relaxed);
+                    i * 2
+                },
             )
             .unwrap();
-            assert!(out.is_complete());
+            assert_eq!(out, (0..6).map(|i| Ok(i * 2)).collect::<Vec<_>>());
+            assert_eq!(runs.load(Ordering::Relaxed), 1);
             assert!(!path.exists());
 
             let _ = std::fs::remove_dir_all(&dir);

@@ -54,9 +54,9 @@ fn fault_matrix_is_resilient_checkpointed_and_secure() {
     assert!(json_text.contains("\"timecache_violations\":0"));
     assert!(json_text.contains("\"failed\":[]"));
 
-    // --- Forced worker panic: the cell fails past its retries, but the
-    // artifact is still complete (the failed row is listed) and the
-    // journal survives for resumption.
+    // --- Forced worker panic: the cell fails, but the artifact is still
+    // complete (the failed row is listed) and the journal survives for
+    // resumption.
     fs::remove_file(&csv).unwrap();
     std::env::set_var("TIMECACHE_FAULT_SWEEP_PANIC", "4");
     let broken = fault_sweep::run(&params);

@@ -1,6 +1,6 @@
 //! The parallel sweep engine's contract: worker count changes wall-clock
-//! only, never results — and per-worker telemetry merges to the same
-//! counters a serial run records.
+//! only, never results — not even which job failed and why — and
+//! per-worker telemetry merges to the same counters a serial run records.
 
 use std::sync::Mutex;
 use timecache_bench::exp::sweep_pairs;
@@ -114,4 +114,48 @@ fn parallel_sweep_telemetry_matches_serial_counters() {
         serial_reg.counter_value("sim_switch_restores_total", &[]),
         parallel_reg.counter_value("sim_switch_restores_total", &[]),
     );
+}
+
+#[test]
+fn panicking_job_fails_identically_on_one_and_four_workers() {
+    let _guard = JOBS_LOCK.lock().unwrap();
+    let root = std::env::temp_dir().join(format!("tc-parallel-ckpt-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let encode = |v: &usize| v.to_string();
+    let decode = |s: &str| s.parse::<usize>().ok();
+    let panicking = |i: usize| {
+        assert!(i != 5, "job 5 always panics");
+        i * 3
+    };
+
+    let mut outcomes = Vec::new();
+    for workers in [1, 4] {
+        sweep::set_jobs(workers);
+        let dir = root.join(format!("jobs{workers}"));
+        let out =
+            sweep::run_checkpointed(&dir, "panicky", "v1", 12, encode, decode, panicking).unwrap();
+        assert!(
+            dir.join("panicky.partial.jsonl").exists(),
+            "a failed sweep on {workers} workers must keep its journal"
+        );
+        outcomes.push((dir, out));
+    }
+    sweep::set_jobs(0);
+
+    let (serial, parallel) = (&outcomes[0].1, &outcomes[1].1);
+    assert_eq!(serial, parallel);
+    let failure = serial[5].as_ref().unwrap_err();
+    assert_eq!(failure.index, 5);
+    assert!(failure.message.contains("job 5 always panics"));
+    assert_eq!(serial.iter().filter(|r| r.is_ok()).count(), 11);
+
+    // Resuming with a job that no longer panics completes the sweep and
+    // removes the journal.
+    for (dir, _) in &outcomes {
+        let out =
+            sweep::run_checkpointed(dir, "panicky", "v1", 12, encode, decode, |i| i * 3).unwrap();
+        assert_eq!(out, (0..12).map(|i| Ok(i * 3)).collect::<Vec<_>>());
+        assert!(!dir.join("panicky.partial.jsonl").exists());
+    }
+    let _ = std::fs::remove_dir_all(&root);
 }

@@ -2,10 +2,10 @@
 //!
 //! A trace is a tiny hierarchy configuration plus a flat list of events —
 //! multi-process memory accesses, `clflush`es, context switches, and forks
-//! over shared addresses. Traces are generated randomly ([`crate::generate`]),
-//! shrunk ([`crate::shrink`]), and serialized to a stable text format so
-//! shrunken regressions can live in `tests/corpus/` and replay on every
-//! `cargo test`.
+//! over shared addresses. Traces are generated randomly
+//! ([`crate::generate()`]), shrunk ([`crate::shrink()`]), and serialized to
+//! a stable text format so shrunken regressions can live in `tests/corpus/`
+//! and replay on every `cargo test`.
 //!
 //! Every event is valid in every trace: the replay driver clamps hardware
 //! contexts into range and treats unknown pids as new processes, so deleting

@@ -1,10 +1,10 @@
 //! Typed errors for the OS model.
 //!
 //! The scheduler's fallible entry points ([`crate::System::try_spawn`],
-//! [`crate::System::try_extend_target`], [`crate::Trace::from_text`])
-//! return these instead of panicking, so harnesses — the resilient sweep
-//! engine in particular — can report a bad configuration as a failed job
-//! rather than a dead worker. The `Display` strings are byte-for-byte the
+//! [`crate::System::try_extend_target`]) return these instead of
+//! panicking, so harnesses — the journaled sweep engine in particular —
+//! can report a bad configuration as a failed job rather than a dead
+//! worker. The `Display` strings are byte-for-byte the
 //! legacy panic messages, so the panicking convenience wrappers (which
 //! simply `panic!("{err}")`) keep every historical message intact.
 
@@ -28,13 +28,6 @@ pub enum OsError {
     /// The process's program emitted `Done` on its own; its instruction
     /// target cannot be extended to keep it running.
     ProgramFinished(Pid),
-    /// A trace text could not be parsed.
-    TraceParse {
-        /// 1-based line number of the first malformed line.
-        line: usize,
-        /// What was wrong with it.
-        message: String,
-    },
 }
 
 impl std::fmt::Display for OsError {
@@ -49,9 +42,6 @@ impl std::fmt::Display for OsError {
             }
             OsError::ProgramFinished(pid) => {
                 write!(f, "{pid}'s program finished on its own; cannot extend")
-            }
-            OsError::TraceParse { line, message } => {
-                write!(f, "line {line}: {message}")
             }
         }
     }
@@ -80,14 +70,6 @@ mod tests {
         assert_eq!(
             OsError::ProgramFinished(Pid(1)).to_string(),
             "pid1's program finished on its own; cannot extend"
-        );
-        assert_eq!(
-            OsError::TraceParse {
-                line: 4,
-                message: "missing addr".into()
-            }
-            .to_string(),
-            "line 4: missing addr"
         );
     }
 

@@ -42,13 +42,11 @@ mod program;
 pub mod programs;
 mod switch;
 mod system;
-pub mod trace;
 pub mod vm;
 
 pub use error::OsError;
 pub use metrics::{ProcessMetrics, RunReport};
 pub use process::{Pid, Process};
 pub use program::{DataKind, Observation, Op, Program};
-pub use switch::{DmaCost, SwitchCostModel};
+pub use switch::SwitchCostModel;
 pub use system::{System, SystemConfig};
-pub use trace::{Recorder, Trace, TraceProgram};

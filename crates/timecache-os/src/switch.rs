@@ -2,18 +2,6 @@
 
 use timecache_sim::SwitchCost;
 
-/// How the s-bit snapshot DMA is priced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DmaCost {
-    /// The paper's methodology (Section VI-D): a fixed delay per context
-    /// switch — 1.08 µs measured on a Xeon for the simulated system's
-    /// buffer, "added to each context switch". 2160 cycles at 2 GHz.
-    PaperConstant(u64),
-    /// A per-64-byte-transfer price, for modelling how a single-channel
-    /// DMA would actually scale with cache size (used by ablations).
-    PerLine(u64),
-}
-
 /// How many cycles a context switch costs.
 ///
 /// # Examples
@@ -30,16 +18,18 @@ pub struct SwitchCostModel {
     /// Cycles for a null context switch (register save, runqueue, TLB...).
     /// ~1 µs at 2 GHz.
     pub base_cycles: u64,
-    /// s-bit DMA pricing. The default follows the paper: a constant
-    /// 2160-cycle (1.08 µs at 2 GHz) charge whenever snapshots move.
-    pub dma: DmaCost,
+    /// s-bit DMA cycles, charged whenever snapshots move. The paper's
+    /// methodology (Section VI-D): a fixed delay per context switch —
+    /// 1.08 µs measured on a Xeon for the simulated system's buffer,
+    /// "added to each context switch". 2160 cycles at 2 GHz.
+    pub dma_cycles: u64,
 }
 
 impl Default for SwitchCostModel {
     fn default() -> Self {
         SwitchCostModel {
             base_cycles: 2000,
-            dma: DmaCost::PaperConstant(2160),
+            dma_cycles: 2160,
         }
     }
 }
@@ -48,27 +38,20 @@ impl SwitchCostModel {
     /// Total cycles charged for a switch whose restore reported `cost`.
     ///
     /// The comparator sweep is additionally charged (it cannot overlap the
-    /// first user instruction). With per-line pricing, the save of the
-    /// outgoing context moves as many lines as the restore of the incoming
-    /// one, so that term is doubled.
+    /// first user instruction).
     pub fn cycles(&self, cost: &SwitchCost) -> u64 {
-        self.base_cycles + self.dma_cycles(cost) + cost.comparator_cycles
+        let dma = if cost.transfer_lines > 0 {
+            self.dma_cycles
+        } else {
+            0
+        };
+        self.base_cycles + dma + cost.comparator_cycles
     }
 
     /// The TimeCache-specific part of [`SwitchCostModel::cycles`] (what the
     /// paper reports as the 0.024 % bookkeeping overhead).
     pub fn timecache_overhead_cycles(&self, cost: &SwitchCost) -> u64 {
         self.cycles(cost) - self.base_cycles
-    }
-
-    fn dma_cycles(&self, cost: &SwitchCost) -> u64 {
-        if cost.transfer_lines == 0 {
-            return 0;
-        }
-        match self.dma {
-            DmaCost::PaperConstant(cycles) => cycles,
-            DmaCost::PerLine(per_line) => 2 * cost.transfer_lines * per_line,
-        }
     }
 }
 
@@ -95,21 +78,6 @@ mod tests {
             m.timecache_overhead_cycles(&large)
         );
         assert_eq!(m.timecache_overhead_cycles(&small), 2160 + 33);
-    }
-
-    #[test]
-    fn per_line_mode_scales_with_cache_size() {
-        let m = SwitchCostModel {
-            base_cycles: 2000,
-            dma: DmaCost::PerLine(16),
-        };
-        let cost = SwitchCost {
-            transfer_lines: 66,
-            comparator_cycles: 33,
-            ..Default::default()
-        };
-        // 2 transfers (save + restore) x 66 lines x 16 cycles.
-        assert_eq!(m.timecache_overhead_cycles(&cost), 2 * 66 * 16 + 33);
     }
 
     #[test]

@@ -44,12 +44,13 @@ pub struct SystemConfig {
     /// line's current fill generation) is recorded as a violation. Off by
     /// default; entirely outside the simulated timing path.
     pub check_invariants: bool,
-    /// How many times an injected mid-save abort ([`FaultKind::AbortSave`])
-    /// is retried before the save is abandoned. An abandoned save leaves
-    /// the process without a snapshot, so its next restore degrades to a
-    /// conservative full s-bit reset — safe, merely slower.
-    pub save_retry_limit: u32,
 }
+
+/// How many times an injected mid-save abort ([`FaultKind::AbortSave`]) is
+/// retried before the save is abandoned. An abandoned save leaves the
+/// process without a snapshot, so its next restore degrades to a
+/// conservative full s-bit reset — safe, merely slower.
+const SAVE_RETRY_LIMIT: u32 = 3;
 
 impl Default for SystemConfig {
     fn default() -> Self {
@@ -61,7 +62,6 @@ impl Default for SystemConfig {
             telemetry: Telemetry::disabled(),
             fault_plan: None,
             check_invariants: false,
-            save_retry_limit: 3,
         }
     }
 }
@@ -670,7 +670,7 @@ impl System {
                     if let Some(s) = &self.sensors {
                         s.save_retries.inc();
                     }
-                    if attempts > self.cfg.save_retry_limit {
+                    if attempts > SAVE_RETRY_LIMIT {
                         if let Some(s) = &self.sensors {
                             s.save_aborts.inc();
                         }

@@ -144,7 +144,7 @@ impl Cache {
     /// This is the innermost loop of the whole simulator (three calls per
     /// simulated memory access in the worst case), so the scan is kept
     /// branch-lean: one tag compare per way against the set's contiguous
-    /// tag slab, with validity folded into the tag via [`INVALID_TAG`].
+    /// tag slab, with validity folded into the tag via `INVALID_TAG`.
     #[inline]
     pub fn lookup(&self, line: LineAddr) -> Option<LookupResult> {
         let set = self.index.set_of(line, self.num_sets);
