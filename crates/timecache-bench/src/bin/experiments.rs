@@ -42,74 +42,49 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// Extracts `--jobs N` / `--jobs=N` from `args`, removing the consumed
-/// elements. Exits with usage on a malformed value.
-fn parse_jobs(args: &mut Vec<String>) -> Option<usize> {
-    let mut jobs = None;
+/// Removes every `FLAG N` / `FLAG=N` from `args` and returns the last
+/// value, parsed by `parse`. Errs with the message to print before usage
+/// when a value is missing or rejected; `expects` describes valid values.
+fn take_flag<T>(
+    args: &mut Vec<String>,
+    flag: &str,
+    expects: &str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<Option<T>, String> {
+    let prefix = format!("{flag}=");
+    let mut found = None;
     let mut i = 0;
     while i < args.len() {
-        let consumed = if args[i] == "--jobs" {
-            let Some(value) = args.get(i + 1) else {
-                eprintln!("--jobs requires a value");
-                usage();
-            };
-            jobs = value.parse().ok().filter(|&n| n >= 1);
-            if jobs.is_none() {
-                eprintln!("--jobs expects a positive integer, got {value:?}");
-                usage();
-            }
-            2
-        } else if let Some(value) = args[i].strip_prefix("--jobs=") {
-            jobs = value.parse().ok().filter(|&n| n >= 1);
-            if jobs.is_none() {
-                eprintln!("--jobs expects a positive integer, got {value:?}");
-                usage();
-            }
-            1
+        let (value, consumed) = if args[i] == flag {
+            let value = args
+                .get(i + 1)
+                .ok_or_else(|| format!("{flag} requires a value"))?;
+            (value.as_str(), 2)
+        } else if let Some(value) = args[i].strip_prefix(&prefix) {
+            (value, 1)
         } else {
             i += 1;
             continue;
         };
+        let parsed =
+            parse(value).ok_or_else(|| format!("{flag} expects {expects}, got {value:?}"))?;
+        found = Some(parsed);
         args.drain(i..i + consumed);
     }
-    jobs
+    Ok(found)
 }
 
-/// Extracts `--max-failures N` / `--max-failures=N` from `args` (the
-/// `fault-sweep` failure tolerance; zero when absent).
-fn parse_max_failures(args: &mut Vec<String>) -> usize {
-    let mut max = 0;
-    let mut i = 0;
-    while i < args.len() {
-        let consumed = if args[i] == "--max-failures" {
-            let Some(value) = args.get(i + 1) else {
-                eprintln!("--max-failures requires a value");
-                usage();
-            };
-            match value.parse() {
-                Ok(n) => max = n,
-                Err(_) => {
-                    eprintln!("--max-failures expects a non-negative integer, got {value:?}");
-                    usage();
-                }
-            }
-            2
-        } else if let Some(value) = args[i].strip_prefix("--max-failures=") {
-            match value.parse() {
-                Ok(n) => max = n,
-                Err(_) => {
-                    eprintln!("--max-failures expects a non-negative integer, got {value:?}");
-                    usage();
-                }
-            }
-            1
-        } else {
-            i += 1;
-            continue;
-        };
-        args.drain(i..i + consumed);
-    }
-    max
+/// [`take_flag`], exiting with usage on a missing or malformed value.
+fn take_flag_or_exit<T>(
+    args: &mut Vec<String>,
+    flag: &str,
+    expects: &str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Option<T> {
+    take_flag(args, flag, expects, parse).unwrap_or_else(|message| {
+        eprintln!("{message}");
+        usage()
+    })
 }
 
 /// Exit-code policy for `fault-sweep`: the run "passes" only if the matrix
@@ -195,10 +170,17 @@ fn main() {
     let quick = args.iter().any(|a| a == "--quick");
     let with_telemetry = args.iter().any(|a| a == "--telemetry");
     args.retain(|a| a != "--quick" && a != "--telemetry");
-    if let Some(jobs) = parse_jobs(&mut args) {
+    let jobs = take_flag_or_exit(&mut args, "--jobs", "a positive integer", |v| {
+        v.parse().ok().filter(|&n| n >= 1)
+    });
+    if let Some(jobs) = jobs {
         sweep::set_jobs(jobs);
     }
-    let max_failures = parse_max_failures(&mut args);
+    let max_failures =
+        take_flag_or_exit(&mut args, "--max-failures", "a non-negative integer", |v| {
+            v.parse().ok()
+        })
+        .unwrap_or(0);
     let which = args.first().map(String::as_str).unwrap_or_else(|| usage());
     let params = if quick {
         RunParams::quick()
@@ -283,5 +265,54 @@ fn main() {
     }
     if exit_code != 0 {
         std::process::exit(exit_code);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::take_flag;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    fn count(v: &str) -> Option<usize> {
+        v.parse().ok()
+    }
+
+    #[test]
+    fn take_flag_accepts_both_spellings() {
+        let mut a = args(&["--jobs", "3", "fig7"]);
+        assert_eq!(take_flag(&mut a, "--jobs", "n", count), Ok(Some(3)));
+        assert_eq!(a, args(&["fig7"]));
+        let mut a = args(&["fig7", "--jobs=4", "--quick"]);
+        assert_eq!(take_flag(&mut a, "--jobs", "n", count), Ok(Some(4)));
+        assert_eq!(a, args(&["fig7", "--quick"]));
+        let mut a = args(&["fig7", "--jobsx=4"]);
+        assert_eq!(take_flag(&mut a, "--jobs", "n", count), Ok(None));
+        assert_eq!(a, args(&["fig7", "--jobsx=4"]));
+    }
+
+    #[test]
+    fn take_flag_reports_missing_and_malformed_values() {
+        let mut a = args(&["fig7", "--max-failures"]);
+        assert_eq!(
+            take_flag(&mut a, "--max-failures", "a non-negative integer", count),
+            Err("--max-failures requires a value".to_string())
+        );
+        let mut a = args(&["--jobs=x", "fig7"]);
+        assert_eq!(
+            take_flag(&mut a, "--jobs", "a positive integer", count),
+            Err("--jobs expects a positive integer, got \"x\"".to_string())
+        );
+    }
+
+    #[test]
+    fn take_flag_keeps_the_last_of_repeated_flags() {
+        let mut a = args(&["--jobs", "2", "fig7", "--jobs=5"]);
+        assert_eq!(take_flag(&mut a, "--jobs", "n", count), Ok(Some(5)));
+        assert_eq!(a, args(&["fig7"]));
+        let mut a = args(&["--jobs", "2", "--jobs", "y"]);
+        assert!(take_flag(&mut a, "--jobs", "n", count).is_err());
     }
 }

@@ -45,8 +45,7 @@ pub fn run() {
 mod tests {
     #[test]
     fn table1_prints_without_panicking() {
-        std::env::set_var("TIMECACHE_RESULTS", std::env::temp_dir().join("tc-results"));
+        crate::output::use_test_results_dir();
         super::run();
-        std::env::remove_var("TIMECACHE_RESULTS");
     }
 }

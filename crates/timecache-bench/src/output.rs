@@ -19,6 +19,18 @@ pub fn results_dir() -> io::Result<PathBuf> {
     Ok(dir)
 }
 
+/// Points `TIMECACHE_RESULTS` at one temp directory, exactly once per
+/// process, and never unsets it: unit tests run concurrently, so a test
+/// that removed the variable could send another test's artifacts into the
+/// source tree. Every test that writes artifacts calls this first.
+#[cfg(test)]
+pub(crate) fn use_test_results_dir() {
+    static SET: std::sync::Once = std::sync::Once::new();
+    SET.call_once(|| {
+        std::env::set_var("TIMECACHE_RESULTS", std::env::temp_dir().join("tc-results"));
+    });
+}
+
 /// Writes rows as an RFC-4180 CSV file (cells containing commas, quotes,
 /// or newlines are quoted and escaped) under [`results_dir`]; returns the
 /// path.
@@ -101,7 +113,7 @@ mod tests {
 
     #[test]
     fn csv_roundtrip() {
-        std::env::set_var("TIMECACHE_RESULTS", std::env::temp_dir().join("tc-results"));
+        use_test_results_dir();
         let p = write_csv(
             "unit_test.csv",
             &["a", "b"],
@@ -111,12 +123,11 @@ mod tests {
         assert_csv_written(&p);
         let body = fs::read_to_string(&p).unwrap();
         assert_eq!(body, "a,b\n1,2\n");
-        std::env::remove_var("TIMECACHE_RESULTS");
     }
 
     #[test]
     fn csv_escapes_delimiters_in_cells() {
-        std::env::set_var("TIMECACHE_RESULTS", std::env::temp_dir().join("tc-results"));
+        use_test_results_dir();
         let p = write_csv(
             "unit_test_escape.csv",
             &["label", "note"],
@@ -125,6 +136,5 @@ mod tests {
         .unwrap();
         let body = fs::read_to_string(&p).unwrap();
         assert_eq!(body, "label,note\n\"a,b\",\"say \"\"hi\"\"\"\n");
-        std::env::remove_var("TIMECACHE_RESULTS");
     }
 }

@@ -18,7 +18,9 @@ use crate::config::CacheConfig;
 use crate::geometry::CacheGeometry;
 use crate::lru::Lru;
 use crate::stats::CacheStats;
-use timecache_core::{Snapshot, TimeCacheConfig, TimeCacheState, Visibility};
+use timecache_core::{
+    FaultInjector, RestoreOutcome, Snapshot, TimeCacheConfig, TimeCacheState, Visibility,
+};
 
 /// Sentinel tag marking an invalid way. Folding validity into the tag
 /// keeps the lookup scan to a single compare per way (no separate valid-bit
@@ -270,29 +272,17 @@ impl Cache {
         self.timecache.as_ref().map(|tc| tc.save_context(ctx, now))
     }
 
-    /// Restores a caching context; see
-    /// [`TimeCacheState::restore_context`]. Returns `None` in baseline mode.
+    /// Restores a caching context under `faults` (pass
+    /// [`FaultInjector::disabled`] for the fault-free path);
+    /// see [`TimeCacheState::restore_context_faulty`]. Returns `None` in
+    /// baseline mode.
     pub fn restore_context(
         &mut self,
         ctx: usize,
         snapshot: Option<&Snapshot>,
         now: u64,
-    ) -> Option<timecache_core::RestoreOutcome> {
-        self.timecache
-            .as_mut()
-            .map(|tc| tc.restore_context(ctx, snapshot, now))
-    }
-
-    /// [`Cache::restore_context`] under fault injection; see
-    /// [`TimeCacheState::restore_context_faulty`]. Returns `None` in
-    /// baseline mode.
-    pub fn restore_context_faulty(
-        &mut self,
-        ctx: usize,
-        snapshot: Option<&Snapshot>,
-        now: u64,
-        faults: &timecache_core::FaultInjector,
-    ) -> Option<timecache_core::RestoreOutcome> {
+        faults: &FaultInjector,
+    ) -> Option<RestoreOutcome> {
         self.timecache
             .as_mut()
             .map(|tc| tc.restore_context_faulty(ctx, snapshot, now, faults))
@@ -426,7 +416,9 @@ mod tests {
         let at = c.lookup(la(0x80)).unwrap();
         assert_eq!(c.visibility(at, 0), Visibility::Visible);
         assert!(c.save_context(0, 0).is_none());
-        assert!(c.restore_context(0, None, 0).is_none());
+        assert!(c
+            .restore_context(0, None, 0, &FaultInjector::disabled())
+            .is_none());
     }
 
     #[test]

@@ -735,7 +735,7 @@ impl Hierarchy {
             (llc, llc_ctx, snapshot.and_then(|s| s.llc.as_ref())),
         ];
         for (cache, ctx, snap) in parts {
-            if let Some(out) = cache.restore_context_faulty(ctx, snap, now, faults) {
+            if let Some(out) = cache.restore_context(ctx, snap, now, faults) {
                 cost.comparator_cycles = cost.comparator_cycles.max(out.comparator_cycles);
                 cost.transfer_lines += out.transfer_lines as u64;
                 cost.rollover |= out.rollover;
