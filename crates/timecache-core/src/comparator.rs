@@ -23,6 +23,19 @@
 //! using word-wide boolean algebra — the same parallelism the silicon gets
 //! from having one peripheral per bit line — and is property-tested against
 //! the functional predicate `Tc > Ts` in the crate's test suite.
+//!
+//! The software model runs the circuit only where its output can matter.
+//! The `GT` latch drives an s-bit *reset*, and resetting an s-bit that is
+//! already clear changes nothing, so the caller passes a `care` mask (the
+//! s-bits just restored) and the model sweeps only the 64-line words where
+//! that mask is nonzero, word by word: all `width` bit-planes of one word,
+//! MSB first, with the two latches held in registers (an order chosen by
+//! measurement on dense restores, DESIGN §10). The result is exactly the
+//! full sweep's mask restricted to `care`, and the charged cost is
+//! still `width + 1` cycles — the silicon sweeps every bit line at once
+//! whatever the model skips. A restore therefore costs host time in
+//! proportion to the s-bit words the resuming process holds, not to the
+//! cache size.
 
 use crate::timestamp::WrappingTime;
 use crate::transpose::TransposeArray;
@@ -30,13 +43,20 @@ use crate::transpose::TransposeArray;
 /// The result of one bit-serial comparison sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompareOutcome {
-    /// Packed mask over lines: bit set ⇔ `Tc > Ts` ⇔ the line's s-bit must
-    /// be reset for the resuming context. Same packing as
-    /// [`crate::SBitArray::words`].
+    /// Packed mask over lines: bit set ⇔ the line is in the `care` mask and
+    /// `Tc > Ts` ⇔ the line's s-bit must be reset for the resuming context.
+    /// Same packing as [`crate::SBitArray::words`]; always
+    /// [`TransposeArray::words_per_plane`] words long.
     pub reset_mask: Vec<u64>,
     /// Hardware cycles consumed: one per timestamp bit (plus the final
     /// reset drive, charged as one cycle).
     pub cycles: u64,
+    /// Host work: 64-line words the model swept (those with a nonzero
+    /// `care` word). Deterministic, so it can be pinned on any host.
+    pub swept_words: usize,
+    /// Host work: 64-line groups re-transposed before being swept
+    /// (their `Tc` words changed since their last rebuild).
+    pub groups_transposed: usize,
 }
 
 impl CompareOutcome {
@@ -66,76 +86,98 @@ impl CompareOutcome {
 /// tc.write_word(1, 100);  // equal to Ts: keep
 /// tc.write_word(2, 150);  // newer than Ts: reset
 ///
-/// let out = BitSerialComparator::compare(&mut tc, WrappingTime::from_cycle(100, w));
+/// let all = vec![u64::MAX; tc.words_per_plane()];
+/// let out = BitSerialComparator::compare(&mut tc, WrappingTime::from_cycle(100, w), &all);
 /// assert_eq!(out.reset_mask[0], 0b100);
 /// assert_eq!(out.cycles, 9); // 8 bit iterations + reset drive
+/// assert_eq!(out.swept_words, 1);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BitSerialComparator;
 
 impl BitSerialComparator {
     /// Runs the comparison circuit: for every line `l`,
-    /// `reset_mask[l] = (Tc[l] > Ts)`.
+    /// `reset_mask[l] = care[l] & (Tc[l] > Ts)`.
     ///
     /// `ts` is the resuming process's preemption timestamp, loaded into the
-    /// shift register; `tc` is the transposed timestamp array. Both use
+    /// shift register; `tc` is the transposed timestamp array; `care` marks
+    /// the lines whose result matters (the restore path passes the restored
+    /// s-bits; pass all ones for the full sweep). Both timestamps use
     /// truncated (width-masked) values; rollover must be handled by the
     /// caller *before* invoking the comparator (see
     /// [`WrappingTime::rollover_since`]).
     ///
-    /// Takes the array mutably because it first flushes any pending
-    /// transpose-interface writes into the bit-plane view
-    /// ([`TransposeArray::sync_planes`]) — in hardware both interfaces
-    /// address the same cells, so the sweep always sees current data.
+    /// Takes the array mutably because each swept word's group is first
+    /// brought up to date (re-transposed if dirty) — in hardware
+    /// both interfaces address the same cells, so the sweep always sees
+    /// current data. Groups outside `care` are neither read nor synced.
     ///
     /// # Panics
     ///
-    /// Panics if `ts` and `tc` have different timestamp widths.
-    pub fn compare(tc: &mut TransposeArray, ts: WrappingTime) -> CompareOutcome {
+    /// Panics if `ts` and `tc` have different timestamp widths, or if
+    /// `care` is not [`TransposeArray::words_per_plane`] words long.
+    pub fn compare(tc: &mut TransposeArray, ts: WrappingTime, care: &[u64]) -> CompareOutcome {
         assert_eq!(
             tc.width(),
             ts.width(),
             "comparator requires matching timestamp widths"
         );
-        tc.sync_planes();
-        let width = tc.width().bits();
         let words = tc.words_per_plane();
+        assert_eq!(
+            care.len(),
+            words,
+            "care mask has {} words, the array {words}",
+            care.len()
+        );
+        let width = tc.width().bits();
+        let mut reset_mask = vec![0u64; words];
+        let mut swept_words = 0;
+        let mut groups_transposed = 0;
 
-        // SR latches, one per line (bit line), packed 64 per word.
-        let mut gt = vec![0u64; words]; // "Tc > Ts" latched
-        let mut done = vec![0u64; words]; // "Tc < Ts" latched (stop)
+        // Ts[bit] is a single wire fanned out to every peripheral: all ones
+        // or all zeros across the 64 bit lines of a word.
+        let mut wires = [0u64; 64];
+        for (bit, wire) in wires.iter_mut().enumerate() {
+            *wire = 0u64.wrapping_sub(ts.value() >> bit & 1);
+        }
 
-        // The shift register feeds Ts MSB-first; each iteration reads one
-        // bit-plane of the transposed array through the regular interface.
-        for bit in (0..width).rev() {
-            // Ts[bit] is a single wire fanned out to every peripheral.
-            let a: u64 = if ts.value() >> bit & 1 == 1 {
-                u64::MAX
-            } else {
-                0
-            };
-            let plane = tc.bit_plane(bit);
-            for w in 0..words {
-                let b = plane[w];
-                let idle = !(gt[w] | done[w]);
-                // set_GT = b & !a & idle ; set_DONE = !b & a & idle
-                gt[w] |= b & !a & idle;
-                done[w] |= !b & a & idle;
+        for (w, &c) in care.iter().enumerate() {
+            if c == 0 {
+                continue;
             }
+            groups_transposed += usize::from(tc.sync_group(w));
+            swept_words += 1;
+            // The SR latches of this word's 64 bit lines, held as `gt` = GT
+            // and `idle` = !(GT | DONE): a line stays idle while its `Tc`
+            // matches `Ts` bit for bit, and leaves on the first differing
+            // bit, latching GT if that bit of `Tc` is the 1.
+            let mut gt = 0u64;
+            let mut idle = u64::MAX;
+            // The shift register feeds Ts MSB-first; each iteration reads
+            // one bit-plane of the transposed array.
+            let planes = tc.group_planes(w);
+            for bit in (0..planes.len()).rev() {
+                let (b, a) = (planes[bit], wires[bit]);
+                // set_GT = b & !a & idle ; set_DONE = !b & a & idle; a
+                // line leaves idle when either latch sets, i.e. b != a.
+                gt |= b & !a & idle;
+                idle &= !(b ^ a);
+            }
+            reset_mask[w] = gt & c;
         }
 
         // Mask out any phantom lines in the final partial word so the reset
         // count reflects real lines only.
-        if let Some(last) = gt.last_mut() {
-            let valid = tc.num_words() - (words - 1) * 64;
-            if valid < 64 {
-                *last &= (1u64 << valid) - 1;
-            }
+        let valid = tc.num_words() - (words - 1) * 64;
+        if valid < 64 {
+            reset_mask[words - 1] &= (1u64 << valid) - 1;
         }
 
         CompareOutcome {
-            reset_mask: gt,
-            cycles: width as u64 + 1,
+            reset_mask,
+            cycles: Self::sweep_cycles(width),
+            swept_words,
+            groups_transposed,
         }
     }
 
@@ -151,13 +193,19 @@ mod tests {
     use super::*;
     use crate::timestamp::TimestampWidth;
 
+    /// The full sweep: every line cared about.
+    fn compare_all(tc: &mut TransposeArray, ts: WrappingTime) -> CompareOutcome {
+        let all = vec![u64::MAX; tc.words_per_plane()];
+        BitSerialComparator::compare(tc, ts, &all)
+    }
+
     fn run(values: &[u64], ts: u64, width: u8) -> Vec<bool> {
         let w = TimestampWidth::new(width);
         let mut tc = TransposeArray::new(values.len(), w);
         for (i, &v) in values.iter().enumerate() {
             tc.write_word(i, v);
         }
-        let out = BitSerialComparator::compare(&mut tc, WrappingTime::from_cycle(ts, w));
+        let out = compare_all(&mut tc, WrappingTime::from_cycle(ts, w));
         (0..values.len())
             .map(|i| out.reset_mask[i / 64] >> (i % 64) & 1 == 1)
             .collect()
@@ -199,7 +247,7 @@ mod tests {
         for i in 0..70 {
             tc.write_word(i, 200);
         }
-        let out = BitSerialComparator::compare(&mut tc, WrappingTime::from_cycle(10, w));
+        let out = compare_all(&mut tc, WrappingTime::from_cycle(10, w));
         assert_eq!(out.reset_count(), 70);
     }
 
@@ -210,8 +258,8 @@ mod tests {
         let mut large = TransposeArray::new(100_000, w);
         let ts = WrappingTime::from_cycle(0, w);
         assert_eq!(
-            BitSerialComparator::compare(&mut small, ts).cycles,
-            BitSerialComparator::compare(&mut large, ts).cycles,
+            compare_all(&mut small, ts).cycles,
+            compare_all(&mut large, ts).cycles,
         );
         assert_eq!(BitSerialComparator::sweep_cycles(32), 33);
     }
@@ -221,7 +269,7 @@ mod tests {
     fn width_mismatch_rejected() {
         let mut tc = TransposeArray::new(4, TimestampWidth::new(8));
         let ts = WrappingTime::from_cycle(0, TimestampWidth::new(16));
-        BitSerialComparator::compare(&mut tc, ts);
+        compare_all(&mut tc, ts);
     }
 
     #[test]
@@ -232,7 +280,7 @@ mod tests {
         assert_eq!(run(&[0, 1], 1, 1), vec![false, false]);
         let w = TimestampWidth::new(1);
         let mut tc = TransposeArray::new(2, w);
-        let out = BitSerialComparator::compare(&mut tc, WrappingTime::from_cycle(0, w));
+        let out = compare_all(&mut tc, WrappingTime::from_cycle(0, w));
         assert_eq!(out.cycles, 2);
         assert_eq!(BitSerialComparator::sweep_cycles(1), 2);
     }

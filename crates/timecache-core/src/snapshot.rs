@@ -38,10 +38,11 @@ pub struct Snapshot {
     /// a wrap the truncated hardware comparison alone cannot see.
     raw_ts: u64,
     width: TimestampWidth,
-    /// FNV-1a over the s-bit words, `Ts`, and the counter width, computed
-    /// at save time. The restore path re-derives it and treats any mismatch
-    /// (bit rot, misdirected DMA while the snapshot sat in kernel memory)
-    /// as "snapshot lost", degrading to the conservative full s-bit reset.
+    /// Word-wise FNV-1a over the s-bit words, `Ts`, and the counter width,
+    /// computed at save time. The restore path re-derives it and treats
+    /// any mismatch (bit rot, misdirected DMA while the snapshot sat in
+    /// kernel memory) as "snapshot lost", degrading to the conservative
+    /// full s-bit reset.
     checksum: u64,
 }
 
@@ -170,23 +171,21 @@ impl Snapshot {
     }
 }
 
-/// FNV-1a over the snapshot's words, preemption time, and counter width.
+/// Word-wise FNV-1a over the snapshot's words, preemption time, and
+/// counter width: each step is `hash = (hash ^ word) * PRIME`, one multiply
+/// per 64 lines instead of one per byte. XOR with a fixed word and
+/// multiplication by an odd constant are both bijections on `u64`, so two
+/// inputs that differ in exactly one word always hash differently: every
+/// single-word corruption (in particular every single flipped bit) is
+/// detected with certainty.
 fn integrity_checksum(sbits: &SBitArray, raw_ts: u64, width: TimestampWidth) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01B3;
-    let mut hash = OFFSET;
-    let mut mix = |value: u64| {
-        for byte in value.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(PRIME);
-        }
-    };
-    for &word in sbits.words() {
-        mix(word);
-    }
-    mix(raw_ts);
-    mix(u64::from(width.bits()));
-    hash
+    sbits
+        .words()
+        .iter()
+        .chain([raw_ts, u64::from(width.bits())].iter())
+        .fold(OFFSET, |hash, &word| (hash ^ word).wrapping_mul(PRIME))
 }
 
 #[cfg(test)]
@@ -270,6 +269,37 @@ mod tests {
             honest.checksum(),
         );
         assert!(!bad_ts.integrity_ok());
+    }
+
+    #[test]
+    fn every_single_bit_flip_fails_integrity() {
+        // The word-wise hash is a chain of bijections, so no flip of one
+        // s-bit or one bit of the saved Ts can keep the checksum.
+        let w = TimestampWidth::new(32);
+        let mut sbits = SBitArray::new(130);
+        for line in [0, 7, 63, 64, 100, 129] {
+            sbits.set(line);
+        }
+        let honest = Snapshot::new(sbits, 0x1234_5678_9ABC, w);
+        for line in 0..130 {
+            let mut bits = honest.sbits().clone();
+            if bits.get(line) {
+                bits.clear(line);
+            } else {
+                bits.set(line);
+            }
+            let bad = Snapshot::from_raw_parts(bits, honest.raw_ts(), w, honest.checksum());
+            assert!(!bad.integrity_ok(), "s-bit {line} flip undetected");
+        }
+        for bit in 0..64 {
+            let bad = Snapshot::from_raw_parts(
+                honest.sbits().clone(),
+                honest.raw_ts() ^ 1 << bit,
+                w,
+                honest.checksum(),
+            );
+            assert!(!bad.integrity_ok(), "Ts bit {bit} flip undetected");
+        }
     }
 
     #[test]

@@ -45,6 +45,13 @@ pub struct RestoreOutcome {
     /// suppressed-but-real rollover caught by the software cross-check).
     /// Always `false` on the fault-free path.
     pub degraded: bool,
+    /// Host work: 64-line words the comparator model swept — those holding
+    /// a restored s-bit ([`crate::CompareOutcome::swept_words`]; zero when
+    /// no sweep ran).
+    pub swept_words: usize,
+    /// Host work: 64-line `Tc` groups re-transposed for the sweep
+    /// ([`crate::CompareOutcome::groups_transposed`]).
+    pub groups_transposed: usize,
 }
 
 /// TimeCache hardware state for a single cache level shared by
@@ -200,7 +207,9 @@ impl TimeCacheState {
     ///   ([`Snapshot::rollover_since`]), all s-bits are conservatively
     ///   reset (Section VI-C).
     /// * Otherwise the snapshot is loaded and the bit-serial comparator
-    ///   resets the s-bit of every line with `Tc > Ts`.
+    ///   resets the s-bit of every line with `Tc > Ts`. Only the 64-line
+    ///   words holding a restored s-bit are swept, so the host cost follows
+    ///   the process's s-bits, not the cache size.
     ///
     /// # Panics
     ///
@@ -255,6 +264,8 @@ impl TimeCacheState {
                 comparator_cycles: 0,
                 transfer_lines: 0,
                 degraded: dropped,
+                swept_words: 0,
+                groups_transposed: 0,
             };
         };
         let corrupted;
@@ -290,6 +301,8 @@ impl TimeCacheState {
                 comparator_cycles: 0,
                 transfer_lines: snap.transfer_lines(),
                 degraded: true,
+                swept_words: 0,
+                groups_transposed: 0,
             };
         }
 
@@ -316,11 +329,16 @@ impl TimeCacheState {
                 comparator_cycles: 0,
                 transfer_lines: snap.transfer_lines(),
                 degraded: (deferred && rollover_signal) || forced,
+                swept_words: 0,
+                groups_transposed: 0,
             };
         }
 
+        // Load the snapshot, then sweep only where it set s-bits: a line
+        // whose s-bit is already clear cannot be reset.
         self.sbits[ctx].copy_from(snap.sbits());
-        let outcome = BitSerialComparator::compare(&mut self.tc, snap.ts());
+        let outcome =
+            BitSerialComparator::compare(&mut self.tc, snap.ts(), self.sbits[ctx].words());
         if faults.fire(FaultKind::FlipComparator, TriggerPoint::Compare) {
             // Dual modular redundancy: the sweep runs twice and the masks
             // must agree. A glitched copy disagrees with the clean one, so
@@ -336,6 +354,8 @@ impl TimeCacheState {
                 comparator_cycles: outcome.cycles * 2,
                 transfer_lines: snap.transfer_lines(),
                 degraded: true,
+                swept_words: outcome.swept_words,
+                groups_transposed: outcome.groups_transposed,
             };
         }
         let reset = self.sbits[ctx].apply_reset_mask(&outcome.reset_mask);
@@ -345,6 +365,8 @@ impl TimeCacheState {
             comparator_cycles: outcome.cycles,
             transfer_lines: snap.transfer_lines(),
             degraded: false,
+            swept_words: outcome.swept_words,
+            groups_transposed: outcome.groups_transposed,
         }
     }
 
@@ -463,6 +485,31 @@ mod tests {
         let out = tc.restore_context(0, Some(&snap), 200);
         assert_eq!(out.sbits_reset, 0);
         assert_eq!(tc.visibility(5, 0), Visibility::Visible);
+    }
+
+    #[test]
+    fn restore_sweeps_only_the_words_holding_restored_sbits() {
+        // A 2 MB LLC (32,768 lines) whose every Tc group is dirty: a
+        // snapshot with s-bits in three words sweeps exactly those three
+        // words and re-transposes at most their three groups. A whole-cache
+        // sweep would report 512.
+        let mut tc = state(32_768, 1, 32);
+        for line in [1usize, 2, 64 * 200 + 5, 32_767] {
+            tc.on_fill(line, 0, 10);
+        }
+        let snap = tc.save_context(0, 100);
+        tc.restore_context(0, None, 100);
+        for group in 0..512 {
+            tc.on_fill(group * 64 + 9, 0, 150);
+        }
+        assert_eq!(tc.tc.dirty_groups(), 512);
+        let out = tc.restore_context(0, Some(&snap), 200);
+        assert_eq!(out.swept_words, 3);
+        assert!(out.groups_transposed <= 3);
+        assert_eq!(tc.tc.dirty_groups(), 512 - out.groups_transposed);
+        assert_eq!(out.sbits_reset, 0);
+        assert_eq!(out.comparator_cycles, 33, "simulated cost is unchanged");
+        assert_eq!(tc.visibility(64 * 200 + 5, 0), Visibility::Visible);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Randomized (but fully deterministic, seed-driven) tests for the
 //! TimeCache hardware mechanism.
 //!
-//! These verify the gate-level comparator against the functional predicate,
+//! These verify the gate-level comparator against the functional predicate
+//! (including its care-masked sparse sweep over partly stale `Tc` groups),
 //! the transpose array against a plain vector, and the central security
 //! invariant of the state machine: *a context never observes `Visible` for a
 //! line it has not itself paid a (first-access) miss for since the line's
@@ -12,9 +13,145 @@
 //! crate's own [`FastRng`] over a fixed set of seeds.
 
 use timecache_core::{
-    BitSerialComparator, FastRng, SBitArray, TimeCacheConfig, TimeCacheState, TimestampWidth,
-    TransposeArray, Visibility, WrappingTime,
+    BitSerialComparator, FastRng, SBitArray, Snapshot, TimeCacheConfig, TimeCacheState,
+    TimestampWidth, TransposeArray, Visibility, WrappingTime,
 };
+
+/// A care mask selecting every line of a `len`-line array.
+fn all_lines(len: usize) -> Vec<u64> {
+    vec![u64::MAX; len.div_ceil(64)]
+}
+
+/// Line counts for the sparse-sweep properties: partial last words, and
+/// a 2 MB LLC's 32,768 lines.
+const SWEEP_LINES: [usize; 4] = [70, 130, 1_000, 32_768];
+
+/// A random s-bit mask over `len` lines: a handful of bits, every bit with
+/// probability 1/2, or all of them.
+fn random_sbits(rng: &mut FastRng, len: usize) -> SBitArray {
+    let mut s = SBitArray::new(len);
+    match rng.next_below(3) {
+        0 => {
+            for _ in 0..rng.next_below(5) + 1 {
+                s.set(rng.next_below(len as u64) as usize);
+            }
+        }
+        1 => (0..len)
+            .filter(|_| rng.next_u64() & 1 == 1)
+            .for_each(|l| s.set(l)),
+        _ => (0..len).for_each(|l| s.set(l)),
+    }
+    s
+}
+
+/// Writes random timestamps to a random subset of lines in two rounds with
+/// a full sync between them, so some groups are synced and some stale when
+/// the sweep starts. Returns the reference timestamps (truncated).
+fn scatter_writes(rng: &mut FastRng, arr: &mut TransposeArray, bound: u64) -> Vec<u64> {
+    let len = arr.num_words();
+    let mut tcs = vec![0u64; len];
+    for round in 0..2 {
+        for _ in 0..rng.next_below(len as u64 / 2 + 1) {
+            let line = rng.next_below(len as u64) as usize;
+            let v = rng.next_below(bound);
+            arr.write_word(line, v);
+            tcs[line] = arr.read_word(line);
+        }
+        if round == 0 {
+            arr.sync_planes();
+        }
+    }
+    tcs
+}
+
+/// The care-masked sweep is the full sweep restricted to `care`: it reads
+/// (and re-transposes) only the words where `care` is nonzero, leaves every
+/// other dirty group dirty, and still returns one mask word per plane word.
+#[test]
+fn sparse_sweep_equals_masked_full_sweep() {
+    for seed in 0..24u64 {
+        let mut rng = FastRng::seed_from_u64(0x600 + seed);
+        let len = SWEEP_LINES[seed as usize % SWEEP_LINES.len()];
+        let width = [1u8, 8, 16, 32, 64][rng.next_below(5) as usize];
+        let w = TimestampWidth::new(width);
+        let mut arr = TransposeArray::new(len, w);
+        let tcs = scatter_writes(&mut rng, &mut arr, u64::MAX);
+        let ts = WrappingTime::from_cycle(rng.next_u64(), w);
+        let care = random_sbits(&mut rng, len);
+        let care_words = care.words().iter().filter(|&&c| c != 0).count();
+        let dirty_before = arr.dirty_groups();
+
+        let out = BitSerialComparator::compare(&mut arr, ts, care.words());
+        assert_eq!(out.reset_mask.len(), arr.words_per_plane(), "seed {seed}");
+        for (i, &tc) in tcs.iter().enumerate() {
+            let expected = care.get(i) && tc > ts.value();
+            let got = out.reset_mask[i / 64] >> (i % 64) & 1 == 1;
+            assert_eq!(got, expected, "seed {seed} line {i} tc {tc}");
+        }
+        assert_eq!(out.cycles, width as u64 + 1);
+        assert_eq!(out.swept_words, care_words, "seed {seed}");
+        assert!(out.groups_transposed <= care_words, "seed {seed}");
+        assert_eq!(
+            arr.dirty_groups(),
+            dirty_before - out.groups_transposed,
+            "seed {seed}: groups outside care must stay dirty"
+        );
+    }
+}
+
+/// Restoring a snapshot leaves exactly `sbits & !(Tc > Ts)`, line by line,
+/// and reports as reset exactly the restored s-bits that went.
+#[test]
+fn restore_keeps_exactly_sbits_not_newer_than_ts() {
+    const NOW: u64 = 1 << 20;
+    for seed in 0..24u64 {
+        let mut rng = FastRng::seed_from_u64(0x700 + seed);
+        let len = SWEEP_LINES[seed as usize % SWEEP_LINES.len()];
+        let w = TimestampWidth::new(32);
+        let mut state = TimeCacheState::new(len, 1, TimeCacheConfig::new(32));
+        // Fill, restore an all-lines snapshot (syncing every written group),
+        // then fill again so the final restore meets synced and stale groups.
+        let mut tcs = vec![0u64; len];
+        for round in 0..2 {
+            for _ in 0..rng.next_below(len as u64 / 2 + 1) {
+                let line = rng.next_below(len as u64) as usize;
+                tcs[line] = rng.next_below(NOW);
+                state.on_fill(line, 0, tcs[line]);
+            }
+            if round == 0 {
+                let mut all = SBitArray::new(len);
+                (0..len).for_each(|l| all.set(l));
+                state.restore_context(0, Some(&Snapshot::new(all, 0, w)), NOW);
+            }
+        }
+        let ts = rng.next_below(NOW);
+        let sbits = random_sbits(&mut rng, len);
+        let snap = Snapshot::new(sbits.clone(), ts, w);
+
+        let out = state.restore_context(0, Some(&snap), NOW);
+        assert!(!out.rollover && !out.degraded, "seed {seed}");
+        let mut reset = 0;
+        for (line, &tc) in tcs.iter().enumerate() {
+            let stale = tc > ts;
+            let kept = sbits.get(line) && !stale;
+            reset += usize::from(sbits.get(line) && stale);
+            let expected = if kept {
+                Visibility::Visible
+            } else {
+                Visibility::FirstAccess
+            };
+            assert_eq!(
+                state.visibility(line, 0),
+                expected,
+                "seed {seed} line {line}"
+            );
+        }
+        assert_eq!(out.sbits_reset, reset, "seed {seed}");
+        assert_eq!(out.comparator_cycles, 33);
+        let words = sbits.words().iter().filter(|&&c| c != 0).count();
+        assert_eq!(out.swept_words, words, "seed {seed}");
+    }
+}
 
 /// The bit-serial circuit computes exactly `tc > ts` for every line.
 #[test]
@@ -31,7 +168,7 @@ fn comparator_matches_functional_compare() {
         }
         let ts_raw = rng.next_u64();
         let ts = WrappingTime::from_cycle(ts_raw, w);
-        let out = BitSerialComparator::compare(&mut arr, ts);
+        let out = BitSerialComparator::compare(&mut arr, ts, &all_lines(len));
         for (i, &v) in tcs.iter().enumerate() {
             let expected = w.truncate(v) > ts.value();
             let got = out.reset_mask[i / 64] >> (i % 64) & 1 == 1;
@@ -53,7 +190,11 @@ fn comparator_mask_has_no_phantom_bits() {
         for i in 0..len {
             arr.write_word(i, u64::MAX); // everything maximally new
         }
-        let out = BitSerialComparator::compare(&mut arr, WrappingTime::from_cycle(ts_raw, w));
+        let out = BitSerialComparator::compare(
+            &mut arr,
+            WrappingTime::from_cycle(ts_raw, w),
+            &all_lines(len),
+        );
         let expected = if w.truncate(u64::MAX) > w.truncate(ts_raw) {
             len
         } else {

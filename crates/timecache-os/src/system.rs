@@ -479,13 +479,11 @@ impl System {
         // single-process context renews across phased runs).
         if self.contexts[ctx].last_process != Some(next) {
             let snapshot = if self.processes[next].has_run && !self.cfg.discard_snapshots {
-                self.processes[next].snapshot.clone()
+                self.processes[next].snapshot.as_ref()
             } else {
                 None
             };
-            let cost = self
-                .hier
-                .restore_context(core, thread, snapshot.as_ref(), now);
+            let cost = self.hier.restore_context(core, thread, snapshot, now);
 
             if self.contexts[ctx].ever_dispatched {
                 let cycles = self.cfg.switch_cost.cycles(&cost);
